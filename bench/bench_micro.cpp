@@ -37,7 +37,8 @@ void BM_NetworkForward(benchmark::State& state) {
     benchmark::DoNotOptimize(net.forward(x));
   }
 }
-BENCHMARK(BM_NetworkForward)->Arg(10)->Arg(30)->Arg(60);
+// Arg(96): the width of the served fleet's predictors.
+BENCHMARK(BM_NetworkForward)->Arg(10)->Arg(30)->Arg(60)->Arg(96);
 
 void BM_NetworkBackward(benchmark::State& state) {
   nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));

@@ -88,16 +88,18 @@ int main(int argc, char** argv) {
       sat::SatResult worst = sat::SatResult::kUnsat;
       int vars = 0;
       std::size_t clauses = 0;
+      long long conflicts = 0;
       smt::QnnVerifierOptions qopts;
-      qopts.solver.time_limit_seconds = time_limit;
       for (std::size_t k = 0; k < predictor.head.components(); ++k) {
         const std::size_t out_index =
             predictor.head.mean_index(k, highway::kActionLateral);
+        qopts.solver.time_limit_seconds = time_limit;  // per component
         const smt::QnnVerdict v = smt::prove_quantized_output_bound(
             qnet, region.box, out_index, threshold, qopts);
         total_seconds += v.seconds;
         vars = v.cnf_variables;
         clauses = v.cnf_clauses;
+        conflicts += v.solver_stats.conflicts;
         if (v.sat == sat::SatResult::kSat) worst = sat::SatResult::kSat;
         if (v.sat == sat::SatResult::kUnknown &&
             worst == sat::SatResult::kUnsat) {
@@ -108,9 +110,10 @@ int main(int argc, char** argv) {
                             : worst == sat::SatResult::kSat   ? "violated"
                                                               : "unknown";
       std::printf("I4x%-2zu | %9d | %9.4f | SAT    | %-8s | %6.2fs | "
-                  "%d vars, %zu clauses\n",
+                  "%d vars, %zu clauses, %lld conflicts (%.0f/s)\n",
                   width, frac_bits, err, verdict, total_seconds, vars,
-                  clauses);
+                  clauses, conflicts,
+                  total_seconds > 0.0 ? conflicts / total_seconds : 0.0);
       if (worst != sat::SatResult::kUnknown &&
           (!row.sat_decided || total_seconds < row.sat_seconds)) {
         row.sat_decided = true;

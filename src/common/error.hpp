@@ -19,4 +19,11 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw Error(msg);
 }
 
+/// Same check for a literal message: the std::string is built only when
+/// the check fails, so a passing check on a hot path (an element read)
+/// allocates nothing.
+inline void require(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] throw Error(msg);
+}
+
 }  // namespace safenn

@@ -24,11 +24,19 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Deadline helper for solver time limits.
+/// The instant a solver must stop by. Solver options hold one, so a
+/// query fixes a single instant when it starts and every engine and
+/// sub-solver it launches is measured against that instant, not against
+/// its own start.
 class Deadline {
  public:
-  /// A deadline `seconds` from now; non-positive means "no limit".
-  explicit Deadline(double seconds);
+  /// Never expires.
+  Deadline() = default;
+
+  /// `seconds` from now; non-positive means "no limit". Implicit, so an
+  /// option of this type accepts a number of seconds; the clock then
+  /// starts at the assignment, not when the solver runs.
+  Deadline(double seconds);  // NOLINT(google-explicit-constructor)
 
   /// True when the wall clock has passed the deadline.
   bool expired() const;
@@ -40,8 +48,8 @@ class Deadline {
   bool unlimited() const { return unlimited_; }
 
  private:
-  bool unlimited_;
-  std::chrono::steady_clock::time_point end_;
+  bool unlimited_ = true;
+  std::chrono::steady_clock::time_point end_{};
 };
 
 }  // namespace safenn

@@ -54,15 +54,14 @@ MilpResult BranchAndBound::solve(const Model& model) const {
 
   lp::SimplexSolver lp_solver(options_.lp_options);
   Stopwatch clock;
-  // Deadline + portfolio-cancel poll, amortized at the documented
-  // default stride (one clock read per 16 nodes — the historical rate).
+  // Deadline + portfolio-cancel, polled before every node.
   CancelToken stop(options_.time_limit_seconds, options_.cancel);
 
   MilpResult result;
   bool have_incumbent = false;
   // Best external cutoff seen so far (problem sense); -sign*inf = none.
-  // Refreshed at the same stride as the deadline so a peer's incumbent
-  // tightens pruning within at most 16 nodes of being published.
+  // Refreshed before every node, so a peer's incumbent tightens pruning
+  // from the next node on.
   double external = -sign * lp::kInfinity;
   bool external_used = false;  // an external value ever pruned a node
   auto refresh_external = [&] {
@@ -141,13 +140,35 @@ MilpResult BranchAndBound::solve(const Model& model) const {
   double global_bound = root_estimate;
   bool aborted_time = false;
   bool aborted_nodes = false;
+  bool threshold_reached = false;
   bool lp_trouble = false;
+  // Nodes left unbranched because their relaxation cannot beat the
+  // decision threshold: the best of their LP values bounds all of them
+  // (-sign*inf = none).
+  double below = -sign * lp::kInfinity;
+
+  // Sound dual bound: `open_part` (the best estimate still open) raised to
+  // the incumbent (achievable, and it dominates every node pruned against
+  // it), to the external cutoff once that pruned a node (achievable too,
+  // just not by this search), and to the nodes left below the threshold.
+  auto dual_bound = [&](double open_part) {
+    double b = open_part;
+    if (have_incumbent && better(result.objective, b)) b = result.objective;
+    if (external_used && better(external, b)) b = external;
+    if (better(below, b)) b = below;
+    return b;
+  };
+  auto open_bound = [&] {
+    return dual_bound(open.empty() ? global_bound : open.top().estimate);
+  };
 
   while (!open.empty()) {
-    // One should_stop() per node: the external flag every node, the
-    // clock every 16th (CancelToken's stride) — the clock read is
-    // measurable against the per-node LP cost.
-    if (result.nodes_explored % 16 == 0) refresh_external();
+    refresh_external();
+    if (options_.decision_threshold &&
+        !better(open_bound(), *options_.decision_threshold)) {
+      threshold_reached = true;
+      break;
+    }
     if (stop.should_stop()) {
       aborted_time = true;
       break;
@@ -237,6 +258,14 @@ MilpResult BranchAndBound::solve(const Model& model) const {
       continue;
     }
 
+    // Nothing in this subtree can beat the decision threshold, so it
+    // cannot change the answer: leave it unbranched, bounded by its LP.
+    if (options_.decision_threshold &&
+        !better(relax.objective, *options_.decision_threshold)) {
+      if (better(relax.objective, below)) below = relax.objective;
+      continue;
+    }
+
     if (options_.heuristic_interval > 0 &&
         (result.nodes_explored == 1 ||
          result.nodes_explored % options_.heuristic_interval == 0)) {
@@ -287,31 +316,32 @@ MilpResult BranchAndBound::solve(const Model& model) const {
   }
 
   result.seconds = clock.seconds();
-  // Subtrees pruned against the external cutoff are dominated by it, so
-  // the sound dual bound is the sign-wise max of the tree bound and the
-  // cutoff value (which is itself achievable, just not by this search).
-  auto clamp_external = [&] {
-    if (external_used && better(external, result.best_bound)) {
-      result.best_bound = external;
-    }
-  };
+  if (threshold_reached) {
+    result.status = MilpStatus::kThresholdReached;
+    result.best_bound = open_bound();
+    return result;
+  }
   if (aborted_time || lp_trouble) {
     result.status = have_incumbent ? MilpStatus::kTimeLimitFeasible
                                    : MilpStatus::kTimeLimitNoSolution;
     result.cancelled = stop.cause() == StopCause::kCancelled;
     // A timeout before the root node is processed leaves no dual bound at
-    // all; report +/-inf honestly. Substituting the incumbent objective
-    // here would pass a primal (lower) bound off as a dual bound and let
-    // a caller "prove" thresholds the search never examined.
-    result.best_bound = open.empty() ? global_bound : open.top().estimate;
-    clamp_external();
+    // all: open_bound() reports +/-inf honestly.
+    result.best_bound = open_bound();
     return result;
   }
   if (aborted_nodes) {
     result.status = have_incumbent ? MilpStatus::kNodeLimit
                                    : MilpStatus::kTimeLimitNoSolution;
-    result.best_bound = open.empty() ? global_bound : open.top().estimate;
-    clamp_external();
+    result.best_bound = open_bound();
+    return result;
+  }
+  // The search finished, but subtrees left below the threshold may hold
+  // values beyond the incumbent: then only "optimum <= bound <= t" holds.
+  if (std::isfinite(below) &&
+      (!have_incumbent || better(below, result.objective))) {
+    result.status = MilpStatus::kThresholdReached;
+    result.best_bound = dual_bound(-sign * lp::kInfinity);
     return result;
   }
   if (!have_incumbent) {
@@ -331,7 +361,9 @@ MilpResult BranchAndBound::solve(const Model& model) const {
   // optimum after the clamp.
   result.status = MilpStatus::kOptimal;
   result.best_bound = result.objective;
-  clamp_external();
+  if (external_used && better(external, result.best_bound)) {
+    result.best_bound = external;
+  }
   return result;
 }
 

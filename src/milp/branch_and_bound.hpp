@@ -3,13 +3,17 @@
 // Best-bound node selection with depth tie-breaking, most-fractional
 // branching, a fix-and-round primal heuristic, and wall-clock time limits
 // (Table II's 4x60 row times out in the paper too — time-limit handling
-// is part of the reproduced behaviour, not an afterthought).
+// is part of the reproduced behaviour, not an afterthought). A decision
+// threshold lets a caller that only asks "is the optimum beyond t?" stop
+// as soon as the dual bound answers it, instead of proving the optimum.
 #pragma once
 
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <vector>
 
+#include "common/stopwatch.hpp"
 #include "lp/simplex.hpp"
 #include "milp/model.hpp"
 
@@ -22,6 +26,7 @@ enum class MilpStatus {
   kTimeLimitFeasible,  // deadline hit; best incumbent returned
   kTimeLimitNoSolution,// deadline hit before any incumbent was found
   kNodeLimit,
+  kThresholdReached,   // best_bound reached BnbOptions::decision_threshold
 };
 
 struct MilpResult {
@@ -40,7 +45,8 @@ struct MilpResult {
   bool has_solution() const {
     return status == MilpStatus::kOptimal ||
            status == MilpStatus::kTimeLimitFeasible ||
-           status == MilpStatus::kNodeLimit;
+           status == MilpStatus::kNodeLimit ||
+           (status == MilpStatus::kThresholdReached && !values.empty());
   }
 
   /// Relative optimality gap |objective - best_bound| / max(1, |objective|).
@@ -48,8 +54,18 @@ struct MilpResult {
 };
 
 struct BnbOptions {
-  double time_limit_seconds = 0.0;  // <= 0: unlimited
-  long max_nodes = 0;               // <= 0: unlimited
+  /// Absolute stop instant (assigning seconds starts the clock there;
+  /// <= 0: unlimited). Callers that encode first fix it before encoding,
+  /// so the encoding counts against the same limit.
+  Deadline time_limit_seconds;
+  long max_nodes = 0;  // <= 0: unlimited
+  /// Decision threshold t (problem sense): before each node pop, stop
+  /// with kThresholdReached once the proven dual bound is no better than
+  /// t (<= t when maximizing). That bound is the best open estimate,
+  /// raised to the incumbent and to the external cutoff once one pruned
+  /// a node, so best_bound is sound — but not the optimum's bound the
+  /// search would reach. Unset: solve to optimality.
+  std::optional<double> decision_threshold;
   double integrality_tol = 1e-6;
   double relative_gap_tol = 1e-9;
   /// Run the fix-and-round primal heuristic every N nodes (0 disables).
@@ -66,13 +82,13 @@ struct BnbOptions {
   /// encodings, early-layer phase binaries get high priority because
   /// fixing them stabilizes everything downstream.
   std::vector<double> branch_priority;
-  /// Cooperative cancellation: polled (with the deadline) once per node
-  /// at CancelToken's documented stride. When it fires, the solve
-  /// returns a time-limit status with MilpResult::cancelled set.
+  /// Cooperative cancellation: polled (with the deadline) before every
+  /// node. When it fires, the solve returns a time-limit status with
+  /// MilpResult::cancelled set.
   const std::atomic<bool>* cancel = nullptr;
   /// External objective cutoff (problem sense): a value proven feasible
   /// *outside* this solve — e.g. a concrete network execution found by a
-  /// racing portfolio peer. Polled at the same stride as the deadline;
+  /// racing portfolio peer. Polled before every node, like the deadline;
   /// nodes whose relaxation cannot beat it are pruned, exactly like an
   /// incumbent, but it never becomes `objective` (there is no assignment
   /// for it here). The reported best_bound is clamped so it stays a

@@ -37,9 +37,13 @@ std::int64_t luby(std::int64_t i) {
 }
 
 struct Engine {
-  // Problem.
+  // Problem. Every clause (problem and learned) lives in one literal
+  // arena, addressed by index: clause ci is lits[starts[ci] ..
+  // starts[ci + 1]). One allocation instead of one per clause keeps
+  // loading cheap and lets a stopped solver free its clauses at once.
   int nvars = 0;
-  std::vector<std::vector<ILit>> clauses;      // problem + learned
+  std::vector<ILit> lits;
+  std::vector<std::size_t> starts{0};
   std::vector<std::vector<int>> watches;       // per ilit: clause indices
   // Assignment.
   std::vector<signed char> value;  // per var: -1 unassigned, 0 false, 1 true
@@ -90,11 +94,23 @@ struct Engine {
 
   void decay() { var_inc /= var_decay; }
 
-  /// Attaches clause `ci` to the watch lists of its first two literals.
-  void attach(int ci) {
-    const auto& c = clauses[static_cast<std::size_t>(ci)];
+  // Valid until the next add_clause (which may grow the arena).
+  ILit* clause(int ci) {
+    return lits.data() + starts[static_cast<std::size_t>(ci)];
+  }
+  std::size_t clause_size(int ci) const {
+    return starts[static_cast<std::size_t>(ci) + 1] -
+           starts[static_cast<std::size_t>(ci)];
+  }
+
+  /// Appends a clause of at least two literals and watches its first two.
+  int add_clause(const std::vector<ILit>& c) {
+    lits.insert(lits.end(), c.begin(), c.end());
+    starts.push_back(lits.size());
+    const int ci = static_cast<int>(starts.size()) - 2;
     watches[static_cast<std::size_t>(neg(c[0]))].push_back(ci);
     watches[static_cast<std::size_t>(neg(c[1]))].push_back(ci);
+    return ci;
   }
 
   /// Unit propagation; returns conflicting clause index or kUndef.
@@ -106,7 +122,8 @@ struct Engine {
       std::size_t keep = 0;
       for (std::size_t wi = 0; wi < wl.size(); ++wi) {
         const int ci = wl[wi];
-        auto& c = clauses[static_cast<std::size_t>(ci)];
+        ILit* c = clause(ci);
+        const std::size_t n = clause_size(ci);
         // Normalize: watched literal being falsified is c[1].
         if (c[0] == neg(p)) std::swap(c[0], c[1]);
         if (lit_true(c[0])) {
@@ -115,7 +132,7 @@ struct Engine {
         }
         // Look for a replacement watch.
         bool moved = false;
-        for (std::size_t k = 2; k < c.size(); ++k) {
+        for (std::size_t k = 2; k < n; ++k) {
           if (!lit_false(c[k])) {
             std::swap(c[1], c[k]);
             watches[static_cast<std::size_t>(neg(c[1]))].push_back(ci);
@@ -152,9 +169,10 @@ struct Engine {
 
     int ci = confl;
     while (true) {
-      const auto& c = clauses[static_cast<std::size_t>(ci)];
+      const ILit* c = clause(ci);
+      const std::size_t n = clause_size(ci);
       // Skip c[0] when it is the literal we are resolving on.
-      for (std::size_t k = (p == kUndef ? 0 : 1); k < c.size(); ++k) {
+      for (std::size_t k = (p == kUndef ? 0 : 1); k < n; ++k) {
         const ILit q = c[k];
         const int v = ivar(q);
         if (seen[static_cast<std::size_t>(v)] ||
@@ -247,12 +265,22 @@ SatResult Solver::solve(const Cnf& cnf, const std::vector<Lit>& assumptions) {
   e.saved_phase.assign(static_cast<std::size_t>(e.nvars), 0);
   e.seen.assign(static_cast<std::size_t>(e.nvars), 0);
   e.watches.assign(static_cast<std::size_t>(2 * e.nvars), {});
+  // Deadline + portfolio-cancel: polled before loading each clause, then
+  // before every propagate (one decision or one conflict between polls).
+  CancelToken stop(options_.time_limit_seconds, options_.cancel);
 
-  // Load clauses: dedupe literals, drop tautologies, split units.
+  // Load clauses: dedupe literals, drop tautologies, split units. The
+  // arena gets a quarter of headroom for learned clauses, so the first
+  // one does not double it (a search rarely learns that many literals).
+  std::size_t total_lits = 0;
+  for (const auto& clause : cnf.clauses()) total_lits += clause.size();
+  e.lits.reserve(total_lits + total_lits / 4);
+  e.starts.reserve(cnf.num_clauses() + cnf.num_clauses() / 4 + 1);
   std::vector<ILit> units;
+  std::vector<ILit> c;
   for (const auto& clause : cnf.clauses()) {
-    std::vector<ILit> c;
-    c.reserve(clause.size());
+    if (stop.should_stop()) return SatResult::kUnknown;
+    c.clear();
     for (Lit l : clause) {
       c.push_back(make_ilit(lit_var(l) - 1, lit_sign(l)));
     }
@@ -271,10 +299,9 @@ SatResult Solver::solve(const Cnf& cnf, const std::vector<Lit>& assumptions) {
       units.push_back(c[0]);
       continue;
     }
-    e.clauses.push_back(std::move(c));
-    e.attach(static_cast<int>(e.clauses.size()) - 1);
+    e.add_clause(c);
     // Seed activity toward variables that appear often.
-    for (ILit l : e.clauses.back()) e.bump(ivar(l));
+    for (ILit l : c) e.bump(ivar(l));
   }
   for (Lit l : assumptions) {
     require(l != 0 && lit_var(l) <= e.nvars,
@@ -289,14 +316,11 @@ SatResult Solver::solve(const Cnf& cnf, const std::vector<Lit>& assumptions) {
   }
   if (e.propagate() != kUndef) return SatResult::kUnsat;
 
-  // Deadline + portfolio-cancel: the flag every conflict, the clock every
-  // 256th (the documented SAT stride — conflicts are much cheaper than
-  // BnB nodes).
-  CancelToken stop(options_.time_limit_seconds, options_.cancel, 256);
   std::int64_t restart_idx = 1;
   std::int64_t conflicts_until_restart = 100 * luby(restart_idx);
 
   while (true) {
+    if (stop.should_stop()) return SatResult::kUnknown;
     const int confl = e.propagate();
     if (confl != kUndef) {
       ++stats_.conflicts;
@@ -306,9 +330,7 @@ SatResult Solver::solve(const Cnf& cnf, const std::vector<Lit>& assumptions) {
       if (learned.size() == 1) {
         e.enqueue(learned[0], kUndef);
       } else {
-        e.clauses.push_back(learned);
-        const int ci = static_cast<int>(e.clauses.size()) - 1;
-        e.attach(ci);
+        const int ci = e.add_clause(learned);
         ++stats_.learned_clauses;
         e.enqueue(learned[0], ci);
       }
@@ -316,9 +338,6 @@ SatResult Solver::solve(const Cnf& cnf, const std::vector<Lit>& assumptions) {
 
       if (options_.max_conflicts > 0 &&
           stats_.conflicts >= options_.max_conflicts) {
-        return SatResult::kUnknown;
-      }
-      if (stop.should_stop()) {
         return SatResult::kUnknown;
       }
       if (--conflicts_until_restart <= 0) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stopwatch.hpp"
 #include "sat/cnf.hpp"
 
 namespace safenn::sat {
@@ -19,12 +20,14 @@ enum class SatResult { kSat, kUnsat, kUnknown };
 struct SolverOptions {
   /// Abort with kUnknown after this many conflicts (0: unlimited).
   std::int64_t max_conflicts = 0;
-  /// Wall-clock limit in seconds (0: unlimited).
-  double time_limit_seconds = 0.0;
+  /// Absolute stop instant (assigning seconds starts the clock there;
+  /// <= 0: unlimited). Clause loading and, in the quantized-network
+  /// encoder, the circuit build count against it.
+  Deadline time_limit_seconds;
   double var_decay = 0.95;
-  /// Cooperative cancellation (portfolio): polled with the deadline once
-  /// per conflict at CancelToken stride 256; a fired flag returns
-  /// kUnknown exactly like a timeout.
+  /// Cooperative cancellation (portfolio): polled with the deadline
+  /// before every decision or conflict; a fired flag returns kUnknown
+  /// exactly like a timeout.
   const std::atomic<bool>* cancel = nullptr;
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "smt/bitvector.hpp"
@@ -20,10 +22,11 @@ struct Circuit {
 
 /// Circuit over explicit fixed-point input ranges (in_lo[i] <= x[i] <=
 /// in_hi[i], frac_bits format). Equal bounds pin the input exactly —
-/// the replay path — without a double round trip.
-Circuit build_circuit_fixed(const nn::QuantizedNetwork& qnet,
-                            const std::vector<std::int64_t>& in_lo,
-                            const std::vector<std::int64_t>& in_hi) {
+/// the replay path — without a double round trip. `stop` is polled
+/// before every neuron; nullopt when it fired.
+std::optional<Circuit> build_circuit_fixed(
+    const nn::QuantizedNetwork& qnet, const std::vector<std::int64_t>& in_lo,
+    const std::vector<std::int64_t>& in_hi, const CancelToken& stop) {
   require(in_lo.size() == qnet.input_size() &&
               in_hi.size() == qnet.input_size(),
           "build_circuit: input bound dimension mismatch");
@@ -65,6 +68,7 @@ Circuit build_circuit_fixed(const nn::QuantizedNetwork& qnet,
     std::vector<BitVec> next;
     next.reserve(layer.out_size());
     for (std::size_t r = 0; r < layer.out_size(); ++r) {
+      if (stop.check_now()) return std::nullopt;
       BitVec acc = bv.constant(0, width);
       bool first = true;
       for (std::size_t c = 0; c < layer.in_size(); ++c) {
@@ -93,8 +97,9 @@ Circuit build_circuit_fixed(const nn::QuantizedNetwork& qnet,
   return circuit;
 }
 
-Circuit build_circuit(const nn::QuantizedNetwork& qnet,
-                      const verify::Box& input_box) {
+std::optional<Circuit> build_circuit(const nn::QuantizedNetwork& qnet,
+                                     const verify::Box& input_box,
+                                     const CancelToken& stop) {
   require(input_box.size() == qnet.input_size(),
           "build_circuit: box dimension mismatch");
   // Fixed-point input ranges (round inward so the box is honored).
@@ -104,7 +109,7 @@ Circuit build_circuit(const nn::QuantizedNetwork& qnet,
     in_lo[i] = static_cast<std::int64_t>(std::ceil(input_box[i].lo * scale));
     in_hi[i] = static_cast<std::int64_t>(std::floor(input_box[i].hi * scale));
   }
-  return build_circuit_fixed(qnet, in_lo, in_hi);
+  return build_circuit_fixed(qnet, in_lo, in_hi, stop);
 }
 
 }  // namespace
@@ -117,7 +122,16 @@ QnnVerdict prove_quantized_output_bound(const nn::QuantizedNetwork& qnet,
   require(output_index < qnet.output_size(),
           "prove_quantized_output_bound: output index out of range");
   Stopwatch clock;
-  Circuit circuit = build_circuit(qnet, input_box);
+  // The solver's deadline and flag also bound the circuit build.
+  const CancelToken stop(options.solver.time_limit_seconds,
+                         options.solver.cancel);
+  QnnVerdict verdict;
+  std::optional<Circuit> built = build_circuit(qnet, input_box, stop);
+  if (!built) {
+    verdict.seconds = clock.seconds();
+    return verdict;  // sat == kUnknown, like a solver timeout
+  }
+  Circuit& circuit = *built;
 
   // Negated property: output > threshold, i.e. output >= floor(t*2^F)+1.
   GateBuilder gates(circuit.cnf);
@@ -131,7 +145,6 @@ QnnVerdict prove_quantized_output_bound(const nn::QuantizedNetwork& qnet,
   gates.assert_true(
       bv.less_than(bv.constant(t_fixed, w), bv.sign_extend(out, w)));
 
-  QnnVerdict verdict;
   verdict.cnf_variables = circuit.cnf.num_vars();
   verdict.cnf_clauses = circuit.cnf.num_clauses();
 
@@ -199,7 +212,8 @@ std::vector<std::int64_t> eval_quantized_through_cnf(
     const QnnVerifierOptions& options) {
   require(input_fixed.size() == qnet.input_size(),
           "eval_quantized_through_cnf: input dimension mismatch");
-  Circuit circuit = build_circuit_fixed(qnet, input_fixed, input_fixed);
+  Circuit circuit =
+      *build_circuit_fixed(qnet, input_fixed, input_fixed, CancelToken());
   sat::Solver solver(options.solver);
   const sat::SatResult res = solver.solve(circuit.cnf);
   // Every input is pinned to a single value, so the circuit has exactly

@@ -37,7 +37,9 @@ struct QnnVerifierOptions {
 
 /// Verifies "forall x in box: quantized_net(x)[output_index] <= threshold".
 /// Returns UNSAT (=> property proved for the quantized network), SAT with
-/// counterexample, or Unknown on budget exhaustion.
+/// counterexample, or Unknown on budget exhaustion. The solver's deadline
+/// and cancel flag also bound the circuit build (polled per neuron); a
+/// build stopped early returns Unknown with no clauses.
 QnnVerdict prove_quantized_output_bound(
     const nn::QuantizedNetwork& qnet, const verify::Box& input_box,
     std::size_t output_index, double threshold,

@@ -164,8 +164,8 @@ InputSplitResult InputSplitVerifier::maximize(const nn::Network& net,
   }
 
   Stopwatch clock;
-  // Deadline + portfolio-cancel, latched once per round (stop_now) on the
-  // merge thread; workers use the thread-safe check_now() before a box.
+  // Deadline + portfolio-cancel, latched once per round (should_stop) on
+  // the merge thread; workers use the thread-safe check_now() before a box.
   CancelToken stop(options_.time_limit_seconds, options_.cancel);
   lp::SimplexSolver solver;
   const double gap_tol = options_.gap_tol;
@@ -301,6 +301,18 @@ InputSplitResult InputSplitVerifier::maximize(const nn::Network& net,
   };
 
   bool timed_out = false;
+  bool decided = false;  // decision_threshold answered before the gap closed
+  // Set once a box leaves the queue bounded only by the pruning reference
+  // (discarded against it, or a point box whose value was considered):
+  // from then on prune_best() + gap_tol also bounds the true maximum.
+  bool pruned = false;
+  // Sound bound on the true maximum while boxes remain open.
+  auto open_bound = [&] {
+    double b = open.empty() ? -std::numeric_limits<double>::infinity()
+                            : open.top().bound;
+    if (pruned) b = std::max(b, prune_best() + gap_tol);
+    return b;
+  };
   double global_bound = std::numeric_limits<double>::infinity();
   std::vector<BoxNode> batch;
   std::vector<BoxOutcome> outcomes;
@@ -316,7 +328,7 @@ InputSplitResult InputSplitVerifier::maximize(const nn::Network& net,
     // Deadline/budget/cancel checks once per round (= up to chunk
     // boxes), not per box; workers re-check before starting expensive
     // work when a limit is actually set.
-    if (stop.stop_now() ||
+    if (stop.should_stop() ||
         (options_.max_boxes > 0 &&
          result.boxes_explored >= options_.max_boxes)) {
       timed_out = true;
@@ -361,16 +373,21 @@ InputSplitResult InputSplitVerifier::maximize(const nn::Network& net,
       ++result.boxes_explored;
       if (o.pruned_no_lp) {
         ++result.boxes_pruned_symbolic;
+        pruned = true;
         continue;
       }
       result.lp_iterations += o.lp_iterations;
       if (o.infeasible) continue;
       if (o.has_xhat && o.xhat_in_region) consider(o.xhat, o.xhat_val);
       if (prune_has() && o.box_bound <= prune_best() + gap_tol) {
+        pruned = true;
         continue;  // pruned against the live (deterministic) incumbent
       }
       if (o.has_probe && o.probe_in_region) consider(o.probe, o.probe_val);
-      if (!o.split) continue;  // point box
+      if (!o.split) {  // point box: its value was considered above
+        pruned = true;
+        continue;
+      }
       BoxNode left{node.box, o.box_bound, next_id++};
       left.box[o.split_dim].hi = o.split_mid;
       BoxNode right{std::move(node.box), o.box_bound, next_id++};
@@ -379,25 +396,25 @@ InputSplitResult InputSplitVerifier::maximize(const nn::Network& net,
       open.push(std::move(right));
     }
     if (timed_out) break;
-    // Early value-exit, checked only at the round boundary so the whole
+    // Decision exits, checked only at the round boundary so the whole
     // batch is merged first and the remaining queue still covers every
-    // unresolved box (which is what keeps upper_bound sound below).
-    if (result.has_value && result.max_value > options_.stop_when_above) {
-      timed_out = true;
-      break;
+    // unresolved box (which is what keeps open_bound() sound).
+    if (options_.decision_threshold && !open.empty()) {
+      const double t = *options_.decision_threshold;
+      if ((result.has_value && result.max_value > t) || open_bound() <= t) {
+        decided = true;
+        break;
+      }
     }
   }
 
   result.seconds = clock.seconds();
-  if (timed_out) {
+  if (timed_out || decided) {
     // Latch the cause if a worker saw the flag before the round check.
-    stop.stop_now();
+    if (timed_out) stop.should_stop();
     result.cancelled = stop.cause() == StopCause::kCancelled;
     result.exact = false;
-    result.upper_bound = open.empty() ? global_bound : open.top().bound;
-    if (!std::isfinite(result.upper_bound)) {
-      result.upper_bound = global_bound;
-    }
+    result.upper_bound = open_bound();
     return result;
   }
   if (!prune_has()) {
@@ -417,8 +434,10 @@ InputSplitResult InputSplitVerifier::maximize(const nn::Network& net,
 Verdict InputSplitVerifier::prove(const nn::Network& net,
                                   const SafetyProperty& property,
                                   InputSplitResult* detail) const {
-  const InputSplitResult r =
-      maximize(net, property.region, property.expr);
+  InputSplitOptions options = options_;
+  options.decision_threshold = property.threshold;
+  const InputSplitResult r = InputSplitVerifier(std::move(options))
+                                 .maximize(net, property.region, property.expr);
   if (detail) *detail = r;
   if (r.has_value && r.max_value > property.threshold) {
     return Verdict::kViolated;

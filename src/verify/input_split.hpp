@@ -30,8 +30,9 @@
 
 #include <atomic>
 #include <functional>
-#include <limits>
+#include <optional>
 
+#include "common/stopwatch.hpp"
 #include "nn/network.hpp"
 #include "verify/property.hpp"
 #include "verify/symbolic.hpp"
@@ -40,7 +41,9 @@
 namespace safenn::verify {
 
 struct InputSplitOptions {
-  double time_limit_seconds = 0.0;  // <= 0: unlimited
+  /// Absolute stop instant (assigning seconds starts the clock there;
+  /// <= 0: unlimited). The portfolio passes its query's deadline.
+  Deadline time_limit_seconds;
   /// Terminate when (global upper bound - incumbent) <= gap_tol.
   double gap_tol = 1e-4;
   long max_boxes = 0;  // <= 0: unlimited
@@ -59,7 +62,7 @@ struct InputSplitOptions {
   /// measured by bench_table2_verification --smoke).
   bool use_symbolic = true;
   /// Cooperative cancellation (portfolio): latched once per synchronous
-  /// round via CancelToken::stop_now(); workers additionally poll
+  /// round via CancelToken::should_stop(); workers additionally poll
   /// check_now() before starting a box. A cancelled run exits through
   /// the timeout path, so max_value/upper_bound stay sound snapshots.
   const std::atomic<bool>* cancel = nullptr;
@@ -71,11 +74,19 @@ struct InputSplitOptions {
   /// discarded box is dominated by a real point. Return -inf when none.
   /// Leave unset for bit-reproducible trajectories.
   std::function<double()> external_incumbent;
-  /// Early value-exit: stop (through the timeout path, keeping sound
-  /// bounds) as soon as an in-region evaluation exceeds this value. The
-  /// portfolio sets it to the property threshold — a violation witness
-  /// needs no tighter maximum. +inf disables.
-  double stop_when_above = std::numeric_limits<double>::infinity();
+  /// Decision threshold t: stop as soon as "max <= t?" is answered,
+  /// either way, instead of closing the gap to the exact maximum. Both
+  /// exits are checked at the round boundary on the merge thread, so the
+  /// trajectory stays identical for any worker count:
+  ///   - violated: an in-region evaluation (max_value) exceeds t;
+  ///   - proved: the sound global bound — the best open box's bound, and
+  ///     incumbent + gap_tol once boxes were pruned against an incumbent
+  ///     — is at or below t. upper_bound then reports that bound: sound
+  ///     and <= t, but not the tightest bound the search would reach.
+  /// Either exit leaves exact false. Unset: maximize() computes the
+  /// maximum. prove() sets the property's threshold; the portfolio sets
+  /// threshold + prove_tol.
+  std::optional<double> decision_threshold;
   /// Optional shared symbolic propagator for `net` (the portfolio hoists
   /// one per query instead of every engine re-deriving it). Must outlive
   /// the call; ignored when use_symbolic is false. Null: built locally.
@@ -111,8 +122,9 @@ class InputSplitVerifier {
   InputSplitResult maximize(const nn::Network& net, const InputRegion& region,
                             const OutputExpr& expr) const;
 
-  /// Decides expr <= threshold on the region via maximize with early
-  /// termination semantics inherited from the gap tolerance.
+  /// Decides expr <= threshold on the region: maximize() with the
+  /// property's threshold as the decision threshold, so the search stops
+  /// once the bound clears it or a value exceeds it.
   Verdict prove(const nn::Network& net, const SafetyProperty& property,
                 InputSplitResult* detail = nullptr) const;
 

@@ -12,7 +12,7 @@ namespace safenn::verify {
 
 std::vector<LayerBounds> lp_tightened_bounds(
     const nn::Network& net, const InputRegion& region,
-    const std::vector<LayerBounds>* symbolic_seed) {
+    const std::vector<LayerBounds>* symbolic_seed, const CancelToken& stop) {
   require(region.dims() == net.input_size(),
           "lp_tightened_bounds: region dimension mismatch");
   // Symbolic bounds seed the relaxation and cap the LP answers (the LP
@@ -60,8 +60,9 @@ std::vector<LayerBounds> lp_tightened_bounds(
       // without a binary no matter how much tighter the LP bound gets —
       // skip both LPs (the big win of the symbolic seed: on typical
       // boxes most neurons are stable).
-      const bool skip_lps = layer.activation() == nn::Activation::kRelu &&
-                            classify(pre) != NeuronStability::kUnstable;
+      const bool skip_lps = (layer.activation() == nn::Activation::kRelu &&
+                             classify(pre) != NeuronStability::kUnstable) ||
+                            stop.check_now();
       for (int sense = 0; !skip_lps && sense < 2; ++sense) {
         lp::Problem p = relaxation;
         for (const auto& [var, coef] : z_terms) p.set_objective(var, coef);
@@ -158,7 +159,8 @@ std::vector<double> EncodedNetwork::assignment_from_input(
 
 EncodedNetwork encode_network(const nn::Network& net,
                               const InputRegion& region,
-                              const EncoderOptions& options) {
+                              const EncoderOptions& options,
+                              const CancelToken& stop) {
   require(region.dims() == net.input_size(),
           "encode_network: region dimension mismatch");
   for (std::size_t li = 0; li < net.num_layers(); ++li) {
@@ -179,7 +181,8 @@ EncodedNetwork encode_network(const nn::Network& net,
                    : symbolic_bounds(net, region.box);
       break;
     case BoundTightening::kLpTighten:
-      bounds = lp_tightened_bounds(net, region, options.precomputed_symbolic);
+      bounds = lp_tightened_bounds(net, region, options.precomputed_symbolic,
+                                   stop);
       break;
     case BoundTightening::kLooseBigM: {
       const double m = options.loose_big_m;

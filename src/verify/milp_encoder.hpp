@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "milp/model.hpp"
 #include "nn/network.hpp"
 #include "verify/property.hpp"
@@ -60,10 +61,13 @@ struct EncoderOptions {
 /// region and the triangle relaxation of all previously-bounded layers.
 /// Always at least as tight as propagate_bounds. `symbolic_seed`, when
 /// non-null, must be symbolic_bounds(net, region.box) (the caller hoisted
-/// it); null derives the seed here.
+/// it); null derives the seed here. `stop` is polled before every
+/// neuron's LP pair; once it fires, the remaining neurons keep their
+/// (sound, looser) seed bounds, so the caller's own poll ends the solve.
 std::vector<LayerBounds> lp_tightened_bounds(
     const nn::Network& net, const InputRegion& region,
-    const std::vector<LayerBounds>* symbolic_seed = nullptr);
+    const std::vector<LayerBounds>* symbolic_seed = nullptr,
+    const CancelToken& stop = CancelToken());
 
 /// The encoded model plus the variable maps needed to read answers back.
 struct EncodedNetwork {
@@ -91,8 +95,10 @@ struct EncodedNetwork {
 /// Builds the MILP for `net` constrained to `region`. Only piecewise-
 /// linear activations (ReLU hidden, identity output) are supported;
 /// throws safenn::Error otherwise. No objective is set — callers add one.
+/// `stop` bounds the kLpTighten bound tightening (lp_tightened_bounds).
 EncodedNetwork encode_network(const nn::Network& net,
                               const InputRegion& region,
-                              const EncoderOptions& options = {});
+                              const EncoderOptions& options = {},
+                              const CancelToken& stop = CancelToken());
 
 }  // namespace safenn::verify

@@ -214,6 +214,10 @@ PortfolioVerifier::PortfolioVerifier(PortfolioOptions options,
 PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
                                          const SafetyProperty& property) const {
   Stopwatch clock;
+  const bool det = options_.deterministic;
+  // The query's one deadline (racing mode): every engine and sub-solver,
+  // set-up included, is measured against this instant.
+  const Deadline deadline(det ? 0.0 : options_.time_limit_seconds);
   const InputRegion& region = property.region;
   const OutputExpr& expr = property.expr;
   const double threshold = property.threshold;
@@ -313,8 +317,6 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   }
 
   // ---- The race.
-  const bool det = options_.deterministic;
-  const double T = det ? 0.0 : options_.time_limit_seconds;
   SharedIncumbent shared(3);
   if (sample_has) {
     shared.publish_value(PortfolioEngine::kRoot, sample_best, &sample_x);
@@ -326,59 +328,49 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   outs[1].engine = PortfolioEngine::kMilp;
   outs[2].engine = PortfolioEngine::kSatQuantized;
 
-  // Remaining wall-clock budget, computed when an engine actually starts
-  // so a sequential schedule still respects the shared deadline. Returns
-  // <= 0 when the budget is exhausted, 0 meaning "unlimited" only when no
-  // deadline was set at all.
-  auto remaining = [&]() -> double {
-    if (T <= 0.0) return 0.0;
-    return T - clock.seconds();
-  };
-  auto exhausted = [&](double rem) { return T > 0.0 && rem <= 1e-3; };
-
   // Sequential schedule (racing, one worker): each engine gets an equal
   // share of the remaining budget — remaining/(engines not yet started)
   // — so a stubborn engine at the front of the schedule cannot starve
   // the ones behind it; whatever it leaves unused flows to them. A true
-  // race (workers > 1) keeps the full remaining budget per engine: the
-  // OS interleaves them and the first decision cancels the rest.
-  const bool slice = !det && options_.num_workers <= 1 && T > 0.0;
+  // race (workers > 1) gives every engine the query's deadline: the OS
+  // interleaves them and the first decision cancels the rest.
+  const bool slice = options_.num_workers <= 1 && !deadline.unlimited();
   int engines_left = 0;  // assigned once the task list is known
-  auto engine_budget = [&]() -> double {
-    const double rem = remaining();
-    if (!slice) return rem;
-    return rem / std::max(1, engines_left);
-  };
 
-  // Entry protocol shared by all engines: bail out before any expensive
-  // setup when a peer already decided or the budget is gone.
-  auto skip_at_entry = [&](EngineOutcome& o) {
+  // Entry protocol shared by all engines: bail out before any set-up when
+  // a peer already decided or the budget is gone; otherwise fix the
+  // engine's deadline, which bounds its set-up and its search alike.
+  auto enter = [&](EngineOutcome& o) -> std::optional<Deadline> {
+    const int share = std::max(1, engines_left);
+    if (slice) --engines_left;
     if (shared.cancel_flag(priority(o.engine))
             ->load(std::memory_order_acquire)) {
       o.cancelled = true;
       o.detail = "cancelled before start";
-      return true;
+      return std::nullopt;
     }
-    const double rem = remaining();
-    if (exhausted(rem)) {
+    const double rem = deadline.remaining();
+    if (!deadline.unlimited() && rem <= 1e-3) {
       o.detail = "deadline exhausted before start";
-      return true;
+      return std::nullopt;
     }
-    return false;
+    return slice ? Deadline(rem / share) : deadline;
   };
+  // Both searches stop once their bound clears this or (input split) a
+  // value exceeds it: the verdicts below need nothing tighter.
+  const double decide_at = threshold + options_.prove_tol;
 
   auto run_input_split = [&](EngineOutcome& o) {
-    const double my_budget = engine_budget();
-    if (slice) --engines_left;
-    if (skip_at_entry(o)) return;
+    const std::optional<Deadline> engine_deadline = enter(o);
+    if (!engine_deadline) return;
     Stopwatch engine_clock;
     InputSplitOptions so = options_.split;
-    so.time_limit_seconds = det ? 0.0 : my_budget;
+    so.time_limit_seconds = *engine_deadline;
     if (det) so.max_boxes = options_.det_max_boxes;
     so.use_symbolic = true;
     so.propagator = &propagator;
     so.cancel = shared.cancel_flag(priority(o.engine));
-    so.stop_when_above = threshold;
+    so.decision_threshold = decide_at;
     so.on_incumbent = [&](double v, const linalg::Vector& w) {
       shared.publish_value(PortfolioEngine::kInputSplit, v, &w);
     };
@@ -410,13 +402,14 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   };
 
   auto run_milp = [&](EngineOutcome& o) {
-    const double my_budget = engine_budget();
-    if (slice) --engines_left;
-    if (skip_at_entry(o)) return;
+    const std::optional<Deadline> engine_deadline = enter(o);
+    if (!engine_deadline) return;
     Stopwatch engine_clock;
     EncoderOptions eo = options_.encoder;
     eo.precomputed_symbolic = &root_sb.layers;
-    EncodedNetwork enc = encode_network(net, region, eo);
+    EncodedNetwork enc = encode_network(
+        net, region, eo,
+        CancelToken(*engine_deadline, shared.cancel_flag(priority(o.engine))));
     for (const auto& [idx, coef] : expr.terms) {
       enc.model.set_objective(enc.output_vars[static_cast<std::size_t>(idx)],
                               coef);
@@ -424,7 +417,8 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
     enc.model.set_maximize(true);
 
     milp::BnbOptions bo = options_.bnb;
-    bo.time_limit_seconds = det ? 0.0 : my_budget;
+    bo.time_limit_seconds = *engine_deadline;
+    bo.decision_threshold = decide_at;
     if (det) bo.max_nodes = options_.det_max_nodes;
     bo.branch_priority = enc.branch_priority;
     bo.cancel = shared.cancel_flag(priority(o.engine));
@@ -480,33 +474,27 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   }
 
   auto run_sat = [&](EngineOutcome& o) {
-    const double my_budget = engine_budget();
-    const double slice_end = clock.seconds() + my_budget;
-    if (slice) --engines_left;
-    if (skip_at_entry(o)) return;
+    const std::optional<Deadline> engine_deadline = enter(o);
+    if (!engine_deadline) return;
     Stopwatch engine_clock;
     const double c = gate.coef;
     const double eps_out = gate.margin / c;  // error budget, output units
     const double resolution = std::ldexp(1.0, -options_.sat_frac_bits);
-    CancelToken tok(0.0, shared.cancel_flag(priority(o.engine)));
+    CancelToken tok(*engine_deadline, shared.cancel_flag(priority(o.engine)));
 
     double lo = gate.out_lo;
     double hi = gate.out_hi;
     int probes = 0;
     bool budget_out = false;
     auto probe = [&](double t) {
+      if (tok.should_stop()) {
+        budget_out = true;
+        return smt::QnnVerdict{};  // sat == kUnknown
+      }
       smt::QnnVerifierOptions qo;
       qo.solver.cancel = shared.cancel_flag(priority(o.engine));
-      if (det) {
-        qo.solver.max_conflicts = options_.det_max_conflicts;
-      } else if (T > 0.0) {
-        const double rem = slice_end - clock.seconds();
-        if (rem <= 1e-3) {
-          budget_out = true;
-          return smt::QnnVerdict{};  // sat == kUnknown
-        }
-        qo.solver.time_limit_seconds = rem;
-      }
+      qo.solver.time_limit_seconds = *engine_deadline;
+      if (det) qo.solver.max_conflicts = options_.det_max_conflicts;
       ++probes;
       return smt::prove_quantized_output_bound(*gate.qnet, region.box,
                                                gate.out_index, t, qo);
@@ -549,7 +537,6 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
     // exported bound for the merge even when the probe above already
     // failed to decide.
     while (!o.decided && !budget_out && hi - lo > resolution / 2) {
-      if (tok.stop_now()) break;
       if (!det) {
         // A peer's achieved value v floors the useful search window:
         // quantized values below v/c - eps_out cannot raise the float

@@ -27,6 +27,13 @@
 //    makes verdict, bound, AND winning engine bit-identical for any
 //    worker count or scheduling (the property test_portfolio asserts).
 //
+// Every search stops once it has answered "max <= threshold?" (the
+// engines' decision thresholds), not when it has pinned the maximum: a
+// proved query's upper_bound is sound and at or below the threshold, not
+// the tightest bound reachable by the deadline. Racing mode fixes one
+// deadline instant when prove() starts; every engine's set-up (MILP
+// encoding, SAT circuit build) and search is measured against it.
+//
 // Merge rule (both modes): first-to-prove wins, lowest priority breaking
 // ties; with no decider, report the tightest merged bound and which
 // engine produced it. Engine priority order is kInputSplit < kMilp <
@@ -115,9 +122,10 @@ class SharedIncumbent {
 };
 
 struct PortfolioOptions {
-  /// Racing-mode shared wall-clock deadline per query (<= 0: unlimited).
-  /// Each engine computes its remaining budget when it actually starts,
-  /// so a sequential schedule (1 worker) still respects the total.
+  /// Racing-mode wall-clock limit per query (<= 0: unlimited), fixed as
+  /// one instant when prove() starts; engine set-up counts against it.
+  /// A sequential schedule (1 worker) gives each engine a share of what
+  /// remains when it starts.
   double time_limit_seconds = 0.0;
   /// Deterministic mode: budgets instead of the wall clock, no external
   /// value injection, priority-scoped cancellation (header comment).
@@ -145,7 +153,8 @@ struct PortfolioOptions {
   /// Verdict tolerances, matching the single-engine verifiers.
   double prove_tol = 1e-9;
   /// Nested per-engine options. time limit / cancel / propagator /
-  /// branch priority / warm start fields are overwritten per query.
+  /// decision threshold / branch priority / warm start fields are
+  /// overwritten per query.
   InputSplitOptions split;
   EncoderOptions encoder;
   milp::BnbOptions bnb;

@@ -1,5 +1,8 @@
 #include "verify/verifier.hpp"
 
+#include <algorithm>
+
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
@@ -23,7 +26,11 @@ MaximizeResult MilpVerifier::maximize(const nn::Network& net,
                                       const InputRegion& region,
                                       const OutputExpr& expr) const {
   Stopwatch clock;
-  EncodedNetwork enc = encode_network(net, region, options_.encoder);
+  // One deadline for the whole query: encoding, warm start and search.
+  const Deadline deadline(options_.time_limit_seconds);
+  EncodedNetwork enc =
+      encode_network(net, region, options_.encoder,
+                     CancelToken(deadline, options_.bnb.cancel));
   for (const auto& [idx, coef] : expr.terms) {
     require(idx >= 0 &&
                 static_cast<std::size_t>(idx) < enc.output_vars.size(),
@@ -34,7 +41,7 @@ MaximizeResult MilpVerifier::maximize(const nn::Network& net,
   enc.model.set_maximize(true);
 
   milp::BnbOptions bnb = options_.bnb;
-  bnb.time_limit_seconds = options_.time_limit_seconds;
+  bnb.time_limit_seconds = deadline;
   bnb.branch_priority = enc.branch_priority;
 
   // Warm start: the best of N concrete executions is a feasible incumbent.
@@ -56,9 +63,11 @@ MaximizeResult MilpVerifier::maximize(const nn::Network& net,
         best_x = std::move(x);
       }
     }
-    if (options_.warm_start_split_seconds > 0.0) {
+    const double split_seconds =
+        std::min(options_.warm_start_split_seconds, deadline.remaining());
+    if (split_seconds > 0.0) {
       InputSplitOptions split_opts;
-      split_opts.time_limit_seconds = options_.warm_start_split_seconds;
+      split_opts.time_limit_seconds = split_seconds;
       split_opts.gap_tol = 1e-3;
       split_opts.num_workers = options_.num_workers;
       const InputSplitResult sr =
@@ -96,7 +105,10 @@ MaximizeResult MilpVerifier::maximize(const nn::Network& net,
 ProveResult MilpVerifier::prove(const nn::Network& net,
                                 const SafetyProperty& property) const {
   Stopwatch clock;
-  const MaximizeResult m = maximize(net, property.region, property.expr);
+  VerifierOptions options = options_;
+  options.bnb.decision_threshold = property.threshold;
+  const MaximizeResult m = MilpVerifier(std::move(options))
+                               .maximize(net, property.region, property.expr);
   ProveResult out;
   out.seconds = clock.seconds();
   out.nodes = m.nodes;
@@ -120,7 +132,8 @@ ProveResult MilpVerifier::prove(const nn::Network& net,
                       : Verdict::kUnknown;
     return out;
   }
-  // Time/node limit: the dual bound may still prove the property.
+  // Threshold reached, or a time/node limit: the dual bound may still
+  // prove the property.
   if (m.upper_bound <= property.threshold) {
     out.verdict = Verdict::kProved;
     return out;

@@ -31,7 +31,9 @@ std::string to_string(Verdict v);
 struct VerifierOptions {
   double time_limit_seconds = 0.0;  // <= 0: unlimited
   EncoderOptions encoder;
-  milp::BnbOptions bnb;  // time limit field is overwritten from above
+  /// The time limit is overwritten from above; prove() sets the decision
+  /// threshold to the property's threshold.
+  milp::BnbOptions bnb;
   /// Warm start: sample this many region points, seed branch-and-bound
   /// with the best concrete network execution (0 disables).
   long warm_start_samples = 200;
@@ -79,10 +81,13 @@ class MilpVerifier {
   explicit MilpVerifier(VerifierOptions options = {});
 
   /// Exact maximum of expr(N(x)) over x in region (Table II query).
+  /// time_limit_seconds starts here and covers the encoding too.
   MaximizeResult maximize(const nn::Network& net, const InputRegion& region,
                           const OutputExpr& expr) const;
 
-  /// Decides "forall x in region: expr(N(x)) <= threshold".
+  /// Decides "forall x in region: expr(N(x)) <= threshold". The search
+  /// stops once its dual bound clears the threshold (see
+  /// BnbOptions::decision_threshold) instead of proving the maximum.
   ProveResult prove(const nn::Network& net, const SafetyProperty& property) const;
 
  private:

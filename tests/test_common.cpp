@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <sstream>
 
+#include "common/cancel.hpp"
 #include "common/compress.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -173,6 +175,43 @@ TEST(Deadline, PastDeadlineExpires) {
   for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
   EXPECT_TRUE(d.expired());
   EXPECT_EQ(d.remaining(), 0.0);
+}
+
+TEST(Deadline, DefaultIsUnlimitedAndSecondsConvert) {
+  EXPECT_TRUE(Deadline().unlimited());
+  // Options typed Deadline accept a number of seconds; the clock starts
+  // at the assignment.
+  Deadline d;
+  d = 3600.0;
+  EXPECT_FALSE(d.unlimited());
+  EXPECT_GT(d.remaining(), 3500.0);
+  d = 0.0;
+  EXPECT_TRUE(d.unlimited());
+}
+
+TEST(CancelToken, FlagLatchesCancelledCause) {
+  std::atomic<bool> flag{false};
+  CancelToken token(Deadline(3600.0), &flag);
+  EXPECT_FALSE(token.should_stop());
+  EXPECT_EQ(token.cause(), StopCause::kNone);
+  flag.store(true);
+  EXPECT_TRUE(token.check_now());
+  EXPECT_EQ(token.cause(), StopCause::kNone);  // check_now does not latch
+  EXPECT_TRUE(token.should_stop());
+  EXPECT_EQ(token.cause(), StopCause::kCancelled);
+  flag.store(false);
+  EXPECT_TRUE(token.should_stop());  // sticky
+}
+
+TEST(CancelToken, ExpiredDeadlineStopsOnTheFirstPoll) {
+  // No stride: the very first poll after the instant passes stops.
+  CancelToken token{Deadline(1e-9)};
+  volatile double sink = 0.0;
+  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
+  EXPECT_TRUE(token.check_now());
+  EXPECT_TRUE(token.should_stop());
+  EXPECT_EQ(token.cause(), StopCause::kDeadline);
+  EXPECT_FALSE(CancelToken().should_stop());
 }
 
 TEST(Csv, EscapesSpecialCharacters) {

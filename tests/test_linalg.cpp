@@ -35,6 +35,20 @@ TEST(Vector, OutOfRangeThrows) {
   EXPECT_THROW(v[2], Error);
   const Vector& cv = v;
   EXPECT_THROW(cv[5], Error);
+  // The check builds its message only when it fails; the text is the
+  // same as ever.
+  for (bool read_only : {false, true}) {
+    try {
+      if (read_only) {
+        (void)cv[2];
+      } else {
+        v[2] = 1.0;
+      }
+      ADD_FAILURE() << "no throw";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "Vector: index out of range");
+    }
+  }
 }
 
 TEST(Vector, Arithmetic) {

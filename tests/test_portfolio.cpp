@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -9,8 +10,13 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/stopwatch.hpp"
+#include "nn/quantize.hpp"
+#include "sat/solver.hpp"
+#include "smt/qnn_encoder.hpp"
 #include "verify/cache.hpp"
 #include "verify/portfolio.hpp"
+#include "verify/symbolic.hpp"
 
 namespace safenn::verify {
 namespace {
@@ -384,6 +390,17 @@ std::vector<DetCase> determinism_cases() {
   timeout.det_max_nodes = 1;
   timeout.use_sat = false;
   cases.push_back({"timeout", 0.60, timeout});
+  // One engine alone, stopping at the decision threshold on either side.
+  PortfolioOptions split_only = det_options();
+  split_only.use_milp = false;
+  split_only.use_sat = false;
+  cases.push_back({"split_exits_proved", 0.55, split_only});
+  cases.push_back({"split_exits_violated", 0.499, split_only});
+  PortfolioOptions milp_only = det_options();
+  milp_only.use_input_split = false;
+  milp_only.use_sat = false;
+  cases.push_back({"milp_exits_proved", 0.55, milp_only});
+  cases.push_back({"milp_exits_violated", 0.499, milp_only});
   return cases;
 }
 
@@ -410,8 +427,145 @@ TEST(PortfolioDeterminism, IdenticalAcrossWorkerCountsAndRuns) {
               << c.name << " w=" << workers;
         }
         EXPECT_EQ(r.timed_out, ref.timed_out) << c.name << " w=" << workers;
+        // The merged engines' own evidence (bound, box/node counts) is
+        // bitwise too; engines above the winner may have been cancelled
+        // at a schedule-dependent point and are not merged.
+        const int merged_up_to =
+            ref.timed_out ? 2 : static_cast<int>(ref.winner);
+        ASSERT_EQ(r.engines.size(), ref.engines.size()) << c.name;
+        for (std::size_t e = 0; e < ref.engines.size(); ++e) {
+          if (static_cast<int>(ref.engines[e].engine) > merged_up_to) continue;
+          EXPECT_EQ(r.engines[e].upper_bound, ref.engines[e].upper_bound)
+              << c.name << " w=" << workers << " e=" << e;
+          EXPECT_EQ(r.engines[e].detail, ref.engines[e].detail)
+              << c.name << " w=" << workers << " e=" << e;
+        }
       }
     }
+  }
+}
+
+// -------------------------------------------------------------------------
+// Decision threshold: each engine stops once "max <= t?" is answered,
+// instead of proving the exact maximum (which maximize() still does).
+// -------------------------------------------------------------------------
+
+/// The fixture's MILP encoding, maximizing the output.
+EncodedNetwork craft_milp() {
+  EncodedNetwork enc = encode_network(craft_net(), craft_property(0.0).region);
+  enc.model.set_objective(enc.output_vars[0], 1.0);
+  enc.model.set_maximize(true);
+  return enc;
+}
+
+TEST(EarlyExit, InputSplitStopsAtThreshold) {
+  const Network net = craft_net();
+  const SafetyProperty prop = craft_property(0.55);
+  const InputSplitResult full =
+      InputSplitVerifier().maximize(net, prop.region, prop.expr);
+  ASSERT_TRUE(full.exact);
+  InputSplitResult ref;
+  for (int workers : {1, 2, 4}) {
+    InputSplitOptions o;
+    o.num_workers = workers;
+    InputSplitResult r;
+    EXPECT_EQ(InputSplitVerifier(o).prove(net, prop, &r), Verdict::kProved);
+    EXPECT_FALSE(r.exact);
+    EXPECT_GE(r.upper_bound, 0.5);
+    EXPECT_LE(r.upper_bound, 0.55);
+    EXPECT_LT(r.boxes_explored, full.boxes_explored);
+    if (workers == 1) ref = r;
+    EXPECT_EQ(r.upper_bound, ref.upper_bound) << workers;  // bitwise
+    EXPECT_EQ(r.boxes_explored, ref.boxes_explored) << workers;
+    InputSplitResult v;
+    EXPECT_EQ(InputSplitVerifier(o).prove(net, craft_property(0.499), &v),
+              Verdict::kViolated);
+    EXPECT_LT(v.boxes_explored, full.boxes_explored);
+  }
+}
+
+// On the fixture every one of the MILP's 5 nodes is needed for any t in
+// [0.5, 0.625): the root and its active child relax to 0.625, so both
+// must branch. The strict "fewer nodes" checks run on a random 2-6-6-1
+// network whose tree has slack; its threshold sits midway between the
+// exact maximum and the root relaxation.
+SafetyProperty slack_property(const Network& net) {
+  SafetyProperty prop = craft_property(0.0, "slack");
+  const MaximizeResult full =
+      MilpVerifier().maximize(net, prop.region, prop.expr);
+  VerifierOptions root_only;
+  root_only.bnb.max_nodes = 1;
+  const MaximizeResult root =
+      MilpVerifier(root_only).maximize(net, prop.region, prop.expr);
+  prop.threshold = 0.5 * (full.max_value + root.upper_bound);
+  return prop;
+}
+
+Network slack_net() {
+  Rng rng(7);
+  return Network::make_mlp({2, 6, 6, 1}, Activation::kRelu,
+                           Activation::kIdentity, rng);
+}
+
+TEST(EarlyExit, BranchAndBoundStopsAtThreshold) {
+  const EncodedNetwork enc = craft_milp();
+  const milp::MilpResult full = milp::BranchAndBound().solve(enc.model);
+  ASSERT_EQ(full.status, milp::MilpStatus::kOptimal);
+  EXPECT_NEAR(full.objective, 0.5, 1e-6);
+  milp::BnbOptions o;
+  o.decision_threshold = 0.55;
+  const milp::MilpResult r = milp::BranchAndBound(o).solve(enc.model);
+  EXPECT_GE(r.best_bound, 0.5 - 1e-9);
+  EXPECT_LE(r.best_bound, 0.55);
+  EXPECT_LE(r.nodes_explored, full.nodes_explored);
+  // Below the optimum the bound never clears t: the solve runs to the
+  // optimum, whose incumbent refutes t.
+  o.decision_threshold = 0.499;
+  const milp::MilpResult below = milp::BranchAndBound(o).solve(enc.model);
+  EXPECT_EQ(below.status, milp::MilpStatus::kOptimal);
+  EXPECT_GT(below.objective, 0.499);
+
+  const Network net = slack_net();
+  const SafetyProperty prop = slack_property(net);
+  EncodedNetwork slack = encode_network(net, prop.region);
+  slack.model.set_objective(slack.output_vars[0], 1.0);
+  slack.model.set_maximize(true);
+  const milp::MilpResult exact = milp::BranchAndBound().solve(slack.model);
+  o.decision_threshold = prop.threshold;
+  const milp::MilpResult at = milp::BranchAndBound(o).solve(slack.model);
+  EXPECT_EQ(at.status, milp::MilpStatus::kThresholdReached);
+  EXPECT_GE(at.best_bound, exact.objective);
+  EXPECT_LE(at.best_bound, prop.threshold);
+  EXPECT_LT(at.nodes_explored, exact.nodes_explored);
+}
+
+TEST(EarlyExit, MilpVerifierStopsAtThreshold) {
+  for (const bool on_fixture : {true, false}) {
+    const Network net = on_fixture ? craft_net() : slack_net();
+    const SafetyProperty prop =
+        on_fixture ? craft_property(0.55) : slack_property(net);
+    const MaximizeResult full =
+        MilpVerifier().maximize(net, prop.region, prop.expr);
+    ASSERT_EQ(full.status, milp::MilpStatus::kOptimal);
+    const ProveResult proved = MilpVerifier().prove(net, prop);
+    EXPECT_EQ(proved.verdict, Verdict::kProved);
+    if (on_fixture) {
+      EXPECT_LE(proved.nodes, full.nodes);
+    } else {
+      EXPECT_LT(proved.nodes, full.nodes);
+    }
+    // The bound prove() stops at, read through maximize() with the same
+    // decision threshold.
+    VerifierOptions at;
+    at.bnb.decision_threshold = prop.threshold;
+    const MaximizeResult m =
+        MilpVerifier(at).maximize(net, prop.region, prop.expr);
+    EXPECT_GE(m.upper_bound, full.max_value - 1e-9);
+    EXPECT_LE(m.upper_bound, prop.threshold);
+    EXPECT_EQ(m.nodes, proved.nodes);
+    SafetyProperty refuted = prop;
+    refuted.threshold = full.max_value - 1e-3;
+    EXPECT_EQ(MilpVerifier().prove(net, refuted).verdict, Verdict::kViolated);
   }
 }
 
@@ -465,6 +619,165 @@ TEST(PortfolioRacing, SharedDeadlineProducesUnknownNotHang) {
   if (r.verdict == Verdict::kViolated) {
     EXPECT_GT(prop.expr.evaluate(net.forward(r.witness)), prop.threshold);
   }
+}
+
+// -------------------------------------------------------------------------
+// Deadline: one instant per query bounds every engine, set-up included.
+// -------------------------------------------------------------------------
+
+/// A query no engine closes in half a second on a 4-core host: a random
+/// 8-30-30-1 network whose threshold sits 5% of the way from the sampled
+/// maximum to the root symbolic bound. All three engines run on it.
+struct OpenQuery {
+  Network net;
+  SafetyProperty prop;
+};
+
+OpenQuery make_open_query() {
+  Rng rng(11);
+  OpenQuery q{Network::make_mlp({8, 30, 30, 1}, Activation::kRelu,
+                                Activation::kIdentity, rng),
+              {}};
+  q.prop.name = "open";
+  q.prop.region.box = Box(8, Interval{-1.0, 1.0});
+  q.prop.expr.terms = {{0, 1.0}};
+  const SymbolicPropagator sym(q.net);
+  const double root = SymbolicPropagator::objective_interval(
+                          sym.propagate(q.prop.region.box),
+                          q.prop.region.box, q.prop.expr.terms)
+                          .hi;
+  double sampled = -kInf;
+  Rng xs(12);
+  for (int t = 0; t < 2000; ++t) {
+    Vector x(8);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = xs.uniform(-1.0, 1.0);
+    sampled = std::max(sampled, q.net.forward(x)[0]);
+  }
+  q.prop.threshold = sampled + 0.05 * (root - sampled);
+  return q;
+}
+
+TEST(PortfolioDeadline, OpenQueryReturnsWithinDeadline) {
+  const OpenQuery q = make_open_query();
+  PortfolioOptions o;
+  o.time_limit_seconds = 0.5;
+  o.num_workers = 3;
+  const PortfolioResult r = PortfolioVerifier(o).prove(q.net, q.prop);
+  // Deadline + 150 ms: one node, box round, conflict or circuit neuron of
+  // overrun, plus scheduling on a loaded host.
+  EXPECT_LT(r.seconds, 0.65) << to_string(r.verdict);
+  for (const EngineOutcome& e : r.engines) {
+    EXPECT_LT(e.seconds, 0.65) << to_string(e.engine) << " " << e.detail;
+  }
+  if (r.verdict == Verdict::kViolated) {
+    EXPECT_GT(q.prop.expr.evaluate(q.net.forward(r.witness)),
+              q.prop.threshold);
+  }
+}
+
+// -------------------------------------------------------------------------
+// Cancellation: a raised flag stops each engine within one unit of work —
+// one node, one decision or conflict, one neuron of set-up.
+// -------------------------------------------------------------------------
+
+TEST(PortfolioCancel, RaisedFlagStopsBranchAndBoundBeforeANode) {
+  const std::atomic<bool> flag{true};
+  milp::BnbOptions o;
+  o.cancel = &flag;
+  const milp::MilpResult r = milp::BranchAndBound(o).solve(craft_milp().model);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_EQ(r.nodes_explored, 0);
+  EXPECT_TRUE(std::isinf(r.best_bound));  // no dual bound was proven
+}
+
+TEST(PortfolioCancel, RaisedFlagStopsSatBeforeADecision) {
+  const nn::QuantizedNetwork qnet =
+      nn::QuantizedNetwork::quantize(craft_net(), 6, 1.0);
+  const std::atomic<bool> flag{true};
+  smt::QnnVerifierOptions qo;
+  qo.solver.cancel = &flag;
+  const smt::QnnVerdict v = smt::prove_quantized_output_bound(
+      qnet, craft_property(0.0).region.box, 0, 0.3, qo);
+  EXPECT_EQ(v.sat, sat::SatResult::kUnknown);
+  // Stopped inside the circuit build, before any clause reached a solver.
+  EXPECT_EQ(v.cnf_clauses, 0u);
+  EXPECT_EQ(v.solver_stats.decisions, 0);
+
+  // And a solver handed a finished formula stops before its first
+  // decision.
+  sat::Cnf cnf;
+  const sat::Var a = cnf.new_var();
+  const sat::Var b = cnf.new_var();
+  cnf.add_clause({a, b});
+  cnf.add_clause({-a, b});
+  sat::SolverOptions so;
+  so.cancel = &flag;
+  sat::Solver solver(so);
+  EXPECT_EQ(solver.solve(cnf), sat::SatResult::kUnknown);
+  EXPECT_EQ(solver.stats().decisions, 0);
+  EXPECT_EQ(solver.stats().conflicts, 0);
+}
+
+TEST(PortfolioCancel, FiredTokenSkipsBoundTighteningLps) {
+  // A fired token leaves every neuron at its (sound, looser) symbolic
+  // seed: no min/max LP pair runs after the stop.
+  const OpenQuery q = make_open_query();
+  const std::atomic<bool> flag{true};
+  const std::vector<LayerBounds> seed =
+      symbolic_bounds(q.net, q.prop.region.box);
+  const std::vector<LayerBounds> stopped = lp_tightened_bounds(
+      q.net, q.prop.region, &seed, CancelToken(Deadline(), &flag));
+  ASSERT_EQ(stopped.size(), seed.size());
+  for (std::size_t li = 0; li < seed.size(); ++li) {
+    for (std::size_t r = 0; r < seed[li].pre.size(); ++r) {
+      EXPECT_EQ(stopped[li].pre[r].lo, seed[li].pre[r].lo);
+      EXPECT_EQ(stopped[li].pre[r].hi, seed[li].pre[r].hi);
+    }
+  }
+}
+
+TEST(PortfolioCancel, LosersStopOnceInputSplitDecides) {
+  // Threshold between the root box's triangle-LP bound and its symbolic
+  // bound: input splitting proves it after its first box, while the MILP
+  // is still tightening bounds and the SAT engine building its circuit.
+  const OpenQuery q = make_open_query();
+  InputSplitOptions one_box;
+  one_box.max_boxes = 1;
+  const InputSplitResult first =
+      InputSplitVerifier(one_box).maximize(q.net, q.prop.region, q.prop.expr);
+  const SymbolicPropagator sym(q.net);
+  const double root = SymbolicPropagator::objective_interval(
+                          sym.propagate(q.prop.region.box),
+                          q.prop.region.box, q.prop.expr.terms)
+                          .hi;
+  ASSERT_LT(first.upper_bound, root);
+  SafetyProperty prop = q.prop;
+  prop.threshold = 0.5 * (first.upper_bound + root);
+
+  Stopwatch encode_clock;
+  (void)encode_network(q.net, prop.region);
+  const double full_encode_s = encode_clock.seconds();
+
+  PortfolioOptions o;
+  o.time_limit_seconds = 60.0;
+  o.num_workers = 3;
+  const PortfolioResult r = PortfolioVerifier(o).prove(q.net, prop);
+  ASSERT_EQ(r.verdict, Verdict::kProved);
+  ASSERT_EQ(r.engine_name, "input_split");
+  for (const EngineOutcome& e : r.engines) {
+    if (e.engine == PortfolioEngine::kMilp && e.ran) {
+      EXPECT_TRUE(e.cancelled);
+      // Stopped in its encoding or before its first node.
+      EXPECT_EQ(e.detail.rfind("nodes=0 ", 0), 0u) << e.detail;
+    }
+    if (e.engine == PortfolioEngine::kSatQuantized && e.ran) {
+      EXPECT_TRUE(e.cancelled);
+      EXPECT_EQ(e.detail.rfind("probes=", 0), 0u) << e.detail;
+      EXPECT_LE(std::stoi(e.detail.substr(7)), 1) << e.detail;
+    }
+  }
+  // The query returned before one uncancelled encoding would have ended.
+  EXPECT_LT(r.seconds, full_encode_s) << full_encode_s;
 }
 
 // -------------------------------------------------------------------------

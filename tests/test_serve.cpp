@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -531,16 +532,24 @@ TEST_F(EngineFixture, HotReloadUnderLiveTrafficKeepsShieldContinuity) {
   InferenceServer server(v1, cfg);
   EXPECT_EQ(server.model_version(), "v1");
 
+  // The producer submits in three thirds and starts the next third only
+  // once the previous reload has returned, so every version is live for
+  // a third of the traffic however fast the workers drain the queue.
   std::vector<std::future<ServeResponse>> futures(scenes.size());
+  std::promise<void> v2_live, v3_live;
   std::thread producer([&] {
+    const std::size_t third = scenes.size() / 3;
+    std::future<void> gates[] = {v2_live.get_future(), v3_live.get_future()};
     for (std::size_t i = 0; i < scenes.size(); ++i) {
+      if (i == third) gates[0].wait();
+      if (i == 2 * third) gates[1].wait();
       futures[i] = server.submit_blocking(scenes[i]);
     }
   });
 
   // Swap twice while the producer is mid-stream: each swap waits until
-  // enough requests completed that the retiring version demonstrably
-  // served traffic, then publishes the next model.
+  // most of the current third completed, so the retiring version
+  // demonstrably served traffic while the rest is still in flight.
   const auto wait_completed = [&server](std::uint64_t target) {
     while (server.metrics().completed() < target) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -549,8 +558,10 @@ TEST_F(EngineFixture, HotReloadUnderLiveTrafficKeepsShieldContinuity) {
   wait_completed(250);
   server.reload(v2);
   EXPECT_EQ(server.model_version(), "v2");
+  v2_live.set_value();
   wait_completed(550);
   server.reload(v3);
+  v3_live.set_value();
   producer.join();
   server.stop();
 
