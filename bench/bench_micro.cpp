@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sstream>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -14,7 +15,9 @@
 #include "nn/mdn.hpp"
 #include "nn/qengine.hpp"
 #include "nn/quantize.hpp"
+#include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
+#include "registry/artifact.hpp"
 #include "sat/solver.hpp"
 #include "serve/request_queue.hpp"
 #include "verify/interval.hpp"
@@ -39,6 +42,33 @@ void BM_NetworkForward(benchmark::State& state) {
 }
 // Arg(96): the width of the served fleet's predictors.
 BENCHMARK(BM_NetworkForward)->Arg(10)->Arg(30)->Arg(60)->Arg(96);
+
+// The network half of every verification cache key: the canonical text
+// streamed into FNV-1a (I4x96: ~36k doubles).
+void BM_NetworkChecksum(benchmark::State& state) {
+  const nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::network_checksum(net));
+  }
+}
+BENCHMARK(BM_NetworkChecksum)->Arg(96)->Unit(benchmark::kMillisecond);
+
+// Publish + load of a quantized artifact in the packed (v3) encoding,
+// in memory: render, hash, pack, then unpack, re-hash and parse.
+void BM_ArtifactPackedRoundTrip(benchmark::State& state) {
+  registry::ModelArtifact artifact;
+  artifact.version = "bench";
+  artifact.head = nn::MdnHead(3, 2);  // 3 + 2*3*2 = 15 raw outputs
+  artifact.network = make_net(static_cast<std::size_t>(state.range(0)));
+  artifact.monitor.region.box.assign(84, verify::Interval{0.0, 1.0});
+  registry::attach_quantized(artifact, 8, 1.0);
+  for (auto _ : state) {
+    std::stringstream ss;
+    registry::save_artifact(ss, artifact, registry::ArtifactEncoding::kPacked);
+    benchmark::DoNotOptimize(registry::load_artifact(ss).content_hash);
+  }
+}
+BENCHMARK(BM_ArtifactPackedRoundTrip)->Arg(96)->Unit(benchmark::kMillisecond);
 
 void BM_NetworkBackward(benchmark::State& state) {
   nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));

@@ -1,19 +1,20 @@
 #include "common/compress.hpp"
 
-#include <cerrno>
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/error.hpp"
+#include "common/numtext.hpp"
 
 namespace safenn {
 namespace {
 
 // Op stream (after magic + varint original size). Numeric ops fold the
-// token's following separator into the opcode so the common "value then
-// one space or newline" shape costs zero extra bytes.
+// token's following separator into the opcode (space, newline, end: the
+// base op plus 0, 1, 2) so the common "value then one space or newline"
+// shape costs zero extra bytes.
 enum Op : unsigned char {
   kOpLiteral = 0,        // varint length + raw bytes
   kOpIntSpace = 1,       // zigzag varint, then ' '
@@ -51,8 +52,7 @@ std::int64_t unzigzag(std::uint64_t v) {
 }
 
 void put_double(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
+  const auto bits = std::bit_cast<std::uint64_t>(v);
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
   }
@@ -63,29 +63,12 @@ bool is_token_char(char c) {
          c == 'e' || c == 'E';
 }
 
-/// The canonical double rendering every safenn serializer emits
-/// (`os << std::setprecision(17) << v` with default float formatting);
-/// a token is only packed when it reprints to these exact bytes.
-int format_double17(char* buf, std::size_t size, double v) {
-  return std::snprintf(buf, size, "%.17g", v);
-}
-
-bool parse_int64(const char* begin, const char* end, std::int64_t& out) {
-  errno = 0;
-  char* stop = nullptr;
-  const long long v = std::strtoll(begin, &stop, 10);
-  if (errno != 0 || stop != end) return false;
-  out = static_cast<std::int64_t>(v);
-  return true;
-}
-
-bool parse_double(const char* begin, const char* end, double& out) {
-  errno = 0;
-  char* stop = nullptr;
-  const double v = std::strtod(begin, &stop);
-  if (errno != 0 || stop != end) return false;
-  out = v;
-  return true;
+/// True when `token` is exactly numtext's rendering of `v` — only such
+/// tokens are packed, so decoding reprints the original bytes.
+template <class T>
+bool reprints(std::string_view token, T v) {
+  char buf[numtext::kMaxChars];
+  return std::string_view(buf, numtext::write(buf, v) - buf) == token;
 }
 
 void flush_literal(std::string& out, std::string& lit) {
@@ -109,9 +92,6 @@ std::string compress_text(std::string_view text) {
   put_varint(out, text.size());
 
   std::string lit;
-  // strtoll/strtod need a terminated buffer; tokens are short, so copy.
-  char token_buf[64];
-  char reprint[64];
   std::size_t i = 0;
   const std::size_t n = text.size();
   while (i < n) {
@@ -126,41 +106,30 @@ std::string compress_text(std::string_view text) {
     const char sep = j < n ? text[j] : '\0';
     const bool at_end = j == n;
     const std::size_t sep_cost = at_end ? 0 : 1;
+    const int shape = at_end ? 2 : sep == ' ' ? 0 : 1;
     if ((sep == ' ' || sep == '\n' || at_end) &&
-        tok_len < sizeof(token_buf)) {
-      std::memcpy(token_buf, text.data() + i, tok_len);
-      token_buf[tok_len] = '\0';
-      const char* tb_end = token_buf + tok_len;
+        tok_len <= numtext::kMaxChars) {
+      const std::string_view token = text.substr(i, tok_len);
       std::int64_t iv = 0;
       double dv = 0.0;
-      if (parse_int64(token_buf, tb_end, iv)) {
-        const int len = std::snprintf(reprint, sizeof(reprint), "%lld",
-                                      static_cast<long long>(iv));
-        if (len > 0 && static_cast<std::size_t>(len) == tok_len &&
-            std::memcmp(reprint, token_buf, tok_len) == 0 &&
-            1 + varint_size(zigzag(iv)) < tok_len + sep_cost) {
-          flush_literal(out, lit);
-          out.push_back(static_cast<char>(at_end       ? kOpIntEnd
-                                          : sep == ' ' ? kOpIntSpace
-                                                       : kOpIntNewline));
-          put_varint(out, zigzag(iv));
-          i = j + sep_cost;
-          continue;
-        }
+      if (numtext::parse(token, iv) && reprints(token, iv) &&
+          1 + varint_size(zigzag(iv)) < tok_len + sep_cost) {
+        flush_literal(out, lit);
+        out.push_back(static_cast<char>(kOpIntSpace + shape));
+        put_varint(out, zigzag(iv));
+        i = j + sep_cost;
+        continue;
       }
-      if (parse_double(token_buf, tb_end, dv)) {
-        const int len = format_double17(reprint, sizeof(reprint), dv);
-        if (len > 0 && static_cast<std::size_t>(len) == tok_len &&
-            std::memcmp(reprint, token_buf, tok_len) == 0 &&
-            9 < tok_len + sep_cost) {
-          flush_literal(out, lit);
-          out.push_back(static_cast<char>(at_end       ? kOpDoubleEnd
-                                          : sep == ' ' ? kOpDoubleSpace
-                                                       : kOpDoubleNewline));
-          put_double(out, dv);
-          i = j + sep_cost;
-          continue;
-        }
+      // Subnormals stay literal, as under the format's first (strtod)
+      // encoder, which saw range errors: existing blobs keep their bytes.
+      if (numtext::parse(token, dv) &&
+          std::fpclassify(dv) != FP_SUBNORMAL && reprints(token, dv) &&
+          9 < tok_len + sep_cost) {
+        flush_literal(out, lit);
+        out.push_back(static_cast<char>(kOpDoubleSpace + shape));
+        put_double(out, dv);
+        i = j + sep_cost;
+        continue;
       }
     }
     // Not packable: carry the token (separator follows as its own
@@ -193,53 +162,33 @@ std::string decompress_text(std::string_view blob) {
 
   const std::uint64_t declared = read_varint();
   std::string out;
-  out.reserve(declared);
-  char reprint[64];
+  // A corrupt size must not drive the allocation: no op expands its
+  // bytes more than 3x, so cap the reservation by what the blob encodes.
+  out.reserve(std::min<std::uint64_t>(declared, 4 * blob.size()));
+  char reprint[numtext::kMaxChars];
   while (pos < blob.size()) {
     const auto op = static_cast<unsigned char>(blob[pos++]);
-    switch (op) {
-      case kOpLiteral: {
-        const std::uint64_t len = read_varint();
-        if (len > blob.size() - pos) corrupt("truncated literal");
-        out.append(blob.data() + pos, len);
-        pos += len;
-        break;
-      }
-      case kOpIntSpace:
-      case kOpIntNewline:
-      case kOpIntEnd: {
-        const std::int64_t v = unzigzag(read_varint());
-        const int len = std::snprintf(reprint, sizeof(reprint), "%lld",
-                                      static_cast<long long>(v));
-        if (len <= 0) corrupt("unprintable integer");
-        out.append(reprint, static_cast<std::size_t>(len));
-        if (op == kOpIntSpace) out.push_back(' ');
-        if (op == kOpIntNewline) out.push_back('\n');
-        break;
-      }
-      case kOpDoubleSpace:
-      case kOpDoubleNewline:
-      case kOpDoubleEnd: {
-        if (blob.size() - pos < 8) corrupt("truncated double");
-        std::uint64_t bits = 0;
-        for (int i = 0; i < 8; ++i) {
-          bits |= static_cast<std::uint64_t>(
-                      static_cast<unsigned char>(blob[pos + i]))
-                  << (8 * i);
-        }
-        pos += 8;
-        double v = 0.0;
-        std::memcpy(&v, &bits, sizeof(v));
-        const int len = format_double17(reprint, sizeof(reprint), v);
-        if (len <= 0) corrupt("unprintable double");
-        out.append(reprint, static_cast<std::size_t>(len));
-        if (op == kOpDoubleSpace) out.push_back(' ');
-        if (op == kOpDoubleNewline) out.push_back('\n');
-        break;
-      }
-      default:
-        corrupt("unknown opcode");
+    if (op == kOpLiteral) {
+      const std::uint64_t len = read_varint();
+      if (len > blob.size() - pos) corrupt("truncated literal");
+      out.append(blob.data() + pos, len);
+      pos += len;
+      continue;
     }
+    if (op > kOpDoubleEnd) corrupt("unknown opcode");
+    if (op < kOpDoubleSpace) {
+      out.append(reprint, numtext::write(reprint, unzigzag(read_varint())));
+    } else {
+      if (blob.size() - pos < 8) corrupt("truncated double");
+      std::uint64_t bits = 0;  // little-endian
+      for (int i = 7; i >= 0; --i) {
+        bits = bits << 8 | static_cast<unsigned char>(blob[pos + i]);
+      }
+      pos += 8;
+      out.append(reprint, numtext::write(reprint, std::bit_cast<double>(bits)));
+    }
+    const int shape = (op - kOpIntSpace) % 3;
+    if (shape < 2) out.push_back(shape == 0 ? ' ' : '\n');
   }
   if (out.size() != declared) corrupt("size mismatch after decode");
   return out;

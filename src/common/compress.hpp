@@ -12,7 +12,7 @@
 // This codec exploits what the text actually is instead: a stream of
 // whitespace-separated numeric tokens. Each token that (a) parses as an
 // int64 or double and (b) REPRINTS byte-identically under the canonical
-// formatter (the same `setprecision(17)` rendering every safenn
+// formatter (common/numtext, the "%.17g" / "%lld" rendering every safenn
 // serializer uses) is replaced by its binary form — zigzag varint for
 // integers (quantized payload weights), 8-byte IEEE bits for doubles
 // (float weights: ~20 text bytes -> 9) — with the following separator

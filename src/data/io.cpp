@@ -1,52 +1,52 @@
 #include "data/io.hpp"
 
 #include <fstream>
-#include <iomanip>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/numtext.hpp"
 
 namespace safenn::data {
 namespace {
 
-std::vector<std::string> split_csv_line(const std::string& line) {
+std::vector<std::string_view> split_csv_line(std::string_view line) {
   // The writer emits plain numeric cells (no quoting needed).
-  std::vector<std::string> cells;
-  std::stringstream ss(line);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  return cells;
+  std::vector<std::string_view> cells;
+  for (;;) {
+    const std::size_t comma = line.find(',');
+    cells.push_back(line.substr(0, comma));
+    if (comma == std::string_view::npos) return cells;
+    line.remove_prefix(comma + 1);
+  }
 }
 
 }  // namespace
 
 void save_dataset_csv(std::ostream& os, const Dataset& data,
                       const FeatureSchema* schema) {
-  // Header.
+  std::string text;
+  numtext::Writer w(text);
   for (std::size_t i = 0; i < data.input_dim(); ++i) {
-    if (i) os << ',';
+    if (i) w << ',';
     if (schema && schema->size() == data.input_dim()) {
-      os << schema->at(i).name;
+      w << schema->at(i).name;
     } else {
-      os << 'x' << i;
+      w << 'x' << i;
     }
   }
-  for (std::size_t j = 0; j < data.target_dim(); ++j) {
-    os << ",y" << j;
-  }
-  os << '\n';
-  os << std::setprecision(17);
+  for (std::size_t j = 0; j < data.target_dim(); ++j) w << ",y" << j;
+  w << '\n';
   for (std::size_t s = 0; s < data.size(); ++s) {
-    const linalg::Vector& x = data.input(s);
-    const linalg::Vector& y = data.target(s);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (i) os << ',';
-      os << x[i];
+    std::string_view sep;
+    for (const double v : data.input(s)) {
+      w << sep << v;
+      sep = ",";
     }
-    for (std::size_t j = 0; j < y.size(); ++j) os << ',' << y[j];
-    os << '\n';
+    for (const double v : data.target(s)) w << ',' << v;
+    w << '\n';
   }
+  os << text;
 }
 
 Dataset load_dataset_csv(std::istream& is, std::size_t target_dim) {
@@ -63,21 +63,17 @@ Dataset load_dataset_csv(std::istream& is, std::size_t target_dim) {
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
-    const std::vector<std::string> cells = split_csv_line(line);
+    const std::vector<std::string_view> cells = split_csv_line(line);
     require(cells.size() == total_cols,
             "load_dataset_csv: ragged row at line " +
                 std::to_string(line_no));
     linalg::Vector x(input_dim), y(target_dim);
     for (std::size_t i = 0; i < total_cols; ++i) {
-      char* end = nullptr;
-      const double v = std::strtod(cells[i].c_str(), &end);
-      require(end != cells[i].c_str(),
-              "load_dataset_csv: non-numeric cell at line " +
-                  std::to_string(line_no));
-      if (i < input_dim) {
-        x[i] = v;
-      } else {
-        y[i - input_dim] = v;
+      // Whole cells only: "1.5abc" is an error, not 1.5.
+      double& v = i < input_dim ? x[i] : y[i - input_dim];
+      if (!numtext::parse(cells[i], v)) {
+        throw Error("load_dataset_csv: non-numeric cell at line " +
+                    std::to_string(line_no));
       }
     }
     data.add(std::move(x), std::move(y));

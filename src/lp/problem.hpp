@@ -12,6 +12,11 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 enum class Relation { kLe, kGe, kEq };
 
+/// The relation's name in canonical texts (artifacts, cache keys).
+inline const char* to_string(Relation r) {
+  return r == Relation::kLe ? "le" : r == Relation::kGe ? "ge" : "eq";
+}
+
 /// A sparse linear expression: sum of (variable index, coefficient).
 using LinearTerms = std::vector<std::pair<int, double>>;
 

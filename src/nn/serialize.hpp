@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "nn/network.hpp"
@@ -49,17 +50,19 @@ void save_network(std::ostream& os, const Network& net);
 /// Parses a network written by save_network. Throws SerializeError on any
 /// malformed, truncated, corrupted, or wrong-version input; a network is
 /// returned only after the whole payload has been checksum-verified and
-/// parsed, so no partial network can ever escape.
+/// parsed, so no partial network can ever escape. Any layout or number
+/// save_network cannot emit is kMalformed.
 Network load_network(std::istream& is);
 
 /// In-memory conveniences (the registry embeds network text verbatim).
 std::string network_to_string(const Network& net);
-Network network_from_string(const std::string& text);
+Network network_from_string(std::string_view text);
 
 /// Content checksum of `net`: FNV-1a 64 over the exact v2 payload bytes —
 /// the same value save_network records in its trailing `checksum` line.
 /// Two networks share a checksum iff they serialize identically, which is
-/// what makes it a cache/identity key (verification cache, registry).
+/// what makes it a cache/identity key (verification cache, registry);
+/// the payload streams into the hash without being built as a string.
 std::uint64_t network_checksum(const Network& net);
 
 /// File-path conveniences.

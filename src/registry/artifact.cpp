@@ -1,25 +1,26 @@
 #include "registry/artifact.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 
 #include "common/compress.hpp"
 #include "common/hash.hpp"
+#include "common/numtext.hpp"
 #include "nn/qengine.hpp"
 #include "nn/serialize.hpp"
 
 namespace safenn::registry {
 namespace {
 
-constexpr const char* kMagic = "safenn-artifact";
+constexpr std::string_view kMagic = "safenn-artifact";
 constexpr const char* kVersionPlain = "v1";
 constexpr const char* kVersionQuantized = "v2";
 constexpr const char* kVersionPacked = "v3";
 constexpr const char* kChecksumMarker = "artifact-checksum ";
 constexpr const char* kPayloadBytesMarker = "payload-bytes ";
-constexpr const char* kQuantChecksumToken = "quantized-checksum";
+constexpr const char* kQuantChecksumToken = "quantized-checksum ";
 
 [[noreturn]] void fail(RegistryError::Kind kind, const std::string& what) {
   throw RegistryError(kind, "load_artifact: " + what);
@@ -29,29 +30,27 @@ void check(bool cond, const std::string& what) {
   if (!cond) fail(RegistryError::Kind::kBadArtifact, what);
 }
 
-const char* relation_name(lp::Relation r) {
-  switch (r) {
-    case lp::Relation::kLe: return "le";
-    case lp::Relation::kGe: return "ge";
-    case lp::Relation::kEq: return "eq";
+lp::Relation relation_from_name(std::string_view name) {
+  for (const lp::Relation r :
+       {lp::Relation::kLe, lp::Relation::kGe, lp::Relation::kEq}) {
+    if (name == lp::to_string(r)) return r;
   }
-  return "?";
-}
-
-lp::Relation relation_from_name(const std::string& name) {
-  if (name == "le") return lp::Relation::kLe;
-  if (name == "ge") return lp::Relation::kGe;
-  if (name == "eq") return lp::Relation::kEq;
   fail(RegistryError::Kind::kBadArtifact,
-       "unknown constraint relation '" + name + "'");
+       "unknown constraint relation '" + std::string(name) + "'");
 }
 
-bool is_single_token(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c))) return false;
+std::uint64_t checksum_value(std::string_view hex) {
+  try {
+    return parse_hex64(hex);
+  } catch (const Error&) {
+    fail(RegistryError::Kind::kBadArtifact, "unparseable checksum value");
   }
-  return true;
+}
+
+bool is_single_token(std::string_view s) {
+  return !s.empty() && std::none_of(s.begin(), s.end(), [](unsigned char c) {
+    return std::isspace(c);
+  });
 }
 
 /// Canonical text of a quantized payload — the byte range its content
@@ -59,89 +58,68 @@ bool is_single_token(const std::string& s) {
 /// limit round-trips at 17 significant digits, so re-serializing a
 /// parsed payload reproduces these bytes and the hash can be verified
 /// structurally on load.
-std::string quantized_section_text(const QuantizedPayload& payload) {
-  std::ostringstream os;
-  os << std::setprecision(17);
+template <class Sink>
+void write_quantized_section(Sink& sink, const QuantizedPayload& payload) {
+  numtext::Writer w(sink);
   const nn::QuantizedNetwork& qnet = payload.network;
-  os << "quantized-frac-bits " << qnet.frac_bits() << '\n';
-  os << "quantized-input-limit " << payload.input_limit << '\n';
-  os << "quantized-layers " << qnet.num_layers() << '\n';
+  w << "quantized-frac-bits " << qnet.frac_bits() << '\n';
+  w << "quantized-input-limit " << payload.input_limit << '\n';
+  w << "quantized-layers " << qnet.num_layers() << '\n';
   for (std::size_t li = 0; li < qnet.num_layers(); ++li) {
     const nn::QuantizedLayer& l = qnet.layer(li);
-    os << "qlayer " << l.out_size() << ' ' << l.in_size() << ' '
-       << nn::to_string(l.activation) << '\n';
-    for (std::size_t r = 0; r < l.out_size(); ++r) {
-      for (std::size_t c = 0; c < l.in_size(); ++c) {
-        os << l.weights[r][c] << (c + 1 == l.in_size() ? "" : " ");
-      }
-      os << '\n';
-    }
-    for (std::size_t r = 0; r < l.out_size(); ++r) {
-      os << l.biases[r] << (r + 1 == l.out_size() ? "" : " ");
-    }
-    os << '\n';
+    w << "qlayer " << l.out_size() << ' ' << l.in_size() << ' '
+      << nn::to_string(l.activation) << '\n';
+    for (const auto& row : l.weights) w.row(row.data(), row.size());
+    w.row(l.biases.data(), l.biases.size());
   }
-  return os.str();
 }
 
-std::optional<QuantizedPayload> parse_quantized_section(std::istream& is) {
+std::uint64_t quantized_hash(const QuantizedPayload& payload) {
+  Fnv1a64 hash;
+  write_quantized_section(hash, payload);
+  return hash.digest();
+}
+
+/// Parses a quantized section from after "quantized-frac-bits ".
+std::optional<QuantizedPayload> parse_quantized_section(numtext::Reader& r) {
   int frac_bits = 0;
-  is >> frac_bits;
-  check(!is.fail() && frac_bits > 0, "bad quantized frac_bits");
-
-  std::string token;
-  is >> token;
-  check(token == "quantized-input-limit", "expected 'quantized-input-limit'");
   double input_limit = 0.0;
-  is >> input_limit;
-  check(!is.fail() && input_limit > 0.0, "bad quantized input limit");
-
-  is >> token;
-  check(token == "quantized-layers", "expected 'quantized-layers'");
   std::size_t num_layers = 0;
-  is >> num_layers;
-  check(is.good() && num_layers > 0, "bad quantized layer count");
+  check(r.read(frac_bits, '\n') && frac_bits > 0, "bad quantized frac_bits");
+  check(r.skip("quantized-input-limit ") && r.read(input_limit, '\n') &&
+            input_limit > 0.0,
+        "bad quantized-input-limit line");
+  check(r.skip("quantized-layers ") && r.read(num_layers, '\n') &&
+            num_layers > 0 && r.room_for(num_layers),
+        "bad quantized-layers line");
 
   std::vector<nn::QuantizedLayer> layers(num_layers);
-  for (nn::QuantizedLayer& l : layers) {
-    is >> token;
-    check(token == "qlayer", "expected 'qlayer'");
+  for (std::size_t li = 0; li < num_layers; ++li) {
+    nn::QuantizedLayer& l = layers[li];
     std::size_t out = 0, in = 0;
-    std::string activation;
-    is >> out >> in >> activation;
-    check(is.good() && out > 0 && in > 0, "bad qlayer shape");
+    check(r.skip("qlayer ") && r.read(out, ' ') && r.read(in, ' ') &&
+              out > 0 && in > 0 && r.room_for(out, in),
+          "bad qlayer shape");
+    const std::string activation(r.word('\n'));
     try {
       l.activation = nn::activation_from_string(activation);
     } catch (const Error&) {
       fail(RegistryError::Kind::kBadArtifact,
            "unknown qlayer activation '" + activation + "'");
     }
+    check(li == 0 || in == layers[li - 1].out_size(),
+          "qlayer input width does not match the previous qlayer");
     l.weights.assign(out, std::vector<std::int64_t>(in, 0));
     l.biases.assign(out, 0);
     for (auto& row : l.weights) {
-      for (auto& w : row) {
-        is >> w;
-        check(!is.fail(), "bad quantized weight");
-      }
+      check(r.read_row(row.data(), in), "bad quantized weight");
     }
-    for (auto& b : l.biases) {
-      is >> b;
-      check(!is.fail(), "bad quantized bias");
-    }
+    check(r.read_row(l.biases.data(), out), "bad quantized bias");
   }
 
-  is >> token;
-  check(token == kQuantChecksumToken, "expected 'quantized-checksum'");
-  std::string recorded_hex;
-  is >> recorded_hex;
-  check(!is.fail(), "missing quantized checksum value");
-  std::uint64_t recorded = 0;
-  try {
-    recorded = parse_hex64(recorded_hex);
-  } catch (const Error&) {
-    fail(RegistryError::Kind::kBadArtifact,
-         "unparseable quantized checksum value");
-  }
+  check(r.skip(kQuantChecksumToken), "expected 'quantized-checksum'");
+  const std::string_view recorded_hex = r.word('\n');
+  const std::uint64_t recorded = checksum_value(recorded_hex);
 
   std::optional<QuantizedPayload> payload;
   try {
@@ -153,11 +131,11 @@ std::optional<QuantizedPayload> parse_quantized_section(std::istream& is) {
   }
   // Content-address verification: the canonical re-serialization of what
   // we just parsed must hash to the recorded value bit for bit.
-  const std::uint64_t actual = fnv1a64(quantized_section_text(*payload));
+  const std::uint64_t actual = quantized_hash(*payload);
   if (actual != recorded) {
     fail(RegistryError::Kind::kHashMismatch,
          "quantized content hash " + hex64(actual) + " != recorded " +
-             recorded_hex);
+             std::string(recorded_hex));
   }
   payload->content_hash = actual;
   return payload;
@@ -166,100 +144,87 @@ std::optional<QuantizedPayload> parse_quantized_section(std::istream& is) {
 /// Everything between the header line and the checksum trailer — the
 /// byte range the content hash covers.
 std::string payload_text(const ModelArtifact& artifact) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "version " << artifact.version << '\n';
-  os << "mdn " << artifact.head.components() << ' ' << artifact.head.dims()
-     << '\n';
-  os << "monitor-threshold " << artifact.monitor.lateral_threshold << '\n';
+  std::string text;
+  numtext::Writer w(text);
+  w << "version " << artifact.version << '\n';
+  w << "mdn " << artifact.head.components() << ' ' << artifact.head.dims()
+    << '\n';
+  w << "monitor-threshold " << artifact.monitor.lateral_threshold << '\n';
   const verify::InputRegion& region = artifact.monitor.region;
-  os << "region-box " << region.box.size() << '\n';
+  w << "region-box " << region.box.size() << '\n';
   for (const verify::Interval& iv : region.box) {
-    os << iv.lo << ' ' << iv.hi << '\n';
+    w << iv.lo << ' ' << iv.hi << '\n';
   }
-  os << "region-constraints " << region.constraints.size() << '\n';
+  w << "region-constraints " << region.constraints.size() << '\n';
   for (const verify::InputConstraint& c : region.constraints) {
-    os << c.terms.size();
-    for (const auto& [idx, coeff] : c.terms) os << ' ' << idx << ' ' << coeff;
-    os << ' ' << relation_name(c.relation) << ' ' << c.rhs << '\n';
+    w << c.terms.size();
+    for (const auto& [idx, coeff] : c.terms) w << ' ' << idx << ' ' << coeff;
+    w << ' ' << lp::to_string(c.relation) << ' ' << c.rhs << '\n';
   }
   if (artifact.quantized) {
-    const std::string qtext = quantized_section_text(*artifact.quantized);
-    os << qtext << kQuantChecksumToken << ' ' << hex64(fnv1a64(qtext))
-       << '\n';
+    const std::size_t section_begin = text.size();
+    write_quantized_section(text, *artifact.quantized);
+    const std::uint64_t section_hash =
+        fnv1a64(std::string_view(text).substr(section_begin));
+    w << kQuantChecksumToken << hex64(section_hash) << '\n';
   }
   // The embedded network text is the v2 serialized form verbatim — it
   // carries its own checksum, so the network is double-pinned.
-  os << "network\n" << nn::network_to_string(artifact.network);
-  return os.str();
+  w << "network\n" << nn::network_to_string(artifact.network);
+  return text;
 }
 
-ModelArtifact parse_payload(const std::string& payload) {
-  std::istringstream is(payload);
-  std::string token;
+ModelArtifact parse_payload(std::string_view payload) {
+  numtext::Reader r(payload);
   ModelArtifact artifact;
 
-  is >> token;
-  check(token == "version", "expected 'version'");
-  is >> artifact.version;
-  check(is.good() && is_single_token(artifact.version), "bad version token");
+  check(r.skip("version "), "expected 'version'");
+  artifact.version = std::string(r.word('\n'));
+  check(is_single_token(artifact.version), "bad version token");
 
-  is >> token;
-  check(token == "mdn", "expected 'mdn'");
   std::size_t components = 0, dims = 0;
-  is >> components >> dims;
-  check(is.good() && components > 0 && dims > 0, "bad mdn head shape");
+  check(r.skip("mdn ") && r.read(components, ' ') && r.read(dims, '\n') &&
+            components > 0 && dims > 0,
+        "bad mdn head shape");
   artifact.head = nn::MdnHead(components, dims);
+  check(r.skip("monitor-threshold ") &&
+            r.read(artifact.monitor.lateral_threshold, '\n'),
+        "bad monitor-threshold line");
 
-  is >> token;
-  check(token == "monitor-threshold", "expected 'monitor-threshold'");
-  is >> artifact.monitor.lateral_threshold;
-  check(!is.fail(), "bad monitor threshold");
-
-  is >> token;
-  check(token == "region-box", "expected 'region-box'");
   std::size_t box_dims = 0;
-  is >> box_dims;
-  check(is.good() && box_dims > 0, "bad region box size");
+  check(r.skip("region-box ") && r.read(box_dims, '\n') && box_dims > 0 &&
+            r.room_for(box_dims, 2),
+        "bad region box size");
   artifact.monitor.region.box.resize(box_dims);
   for (verify::Interval& iv : artifact.monitor.region.box) {
-    is >> iv.lo >> iv.hi;
-    check(!is.fail() && iv.lo <= iv.hi, "bad region interval");
+    check(r.read(iv.lo, ' ') && r.read(iv.hi, '\n') && iv.lo <= iv.hi,
+          "bad region interval");
   }
 
-  is >> token;
-  check(token == "region-constraints", "expected 'region-constraints'");
   std::size_t num_constraints = 0;
-  is >> num_constraints;
-  check(!is.fail(), "bad constraint count");
+  check(r.skip("region-constraints ") && r.read(num_constraints, '\n') &&
+            r.room_for(num_constraints, 5),
+        "bad constraint count");
   artifact.monitor.region.constraints.resize(num_constraints);
   for (verify::InputConstraint& c : artifact.monitor.region.constraints) {
     std::size_t terms = 0;
-    is >> terms;
-    check(is.good() && terms > 0, "bad constraint term count");
+    check(r.read(terms, ' ') && terms > 0 && r.room_for(terms, 2),
+          "bad constraint term count");
     c.terms.resize(terms);
     for (auto& [idx, coeff] : c.terms) {
-      is >> idx >> coeff;
-      check(!is.fail() && idx >= 0, "bad constraint term");
+      check(r.read(idx, ' ') && r.read(coeff, ' ') && idx >= 0,
+            "bad constraint term");
     }
-    std::string relation;
-    is >> relation >> c.rhs;
-    check(!is.fail(), "bad constraint relation/rhs");
-    c.relation = relation_from_name(relation);
+    c.relation = relation_from_name(r.word(' '));
+    check(r.read(c.rhs, '\n'), "bad constraint rhs");
   }
 
-  is >> token;
-  if (token == "quantized-frac-bits") {
-    artifact.quantized = parse_quantized_section(is);
-    is >> token;
+  if (r.skip("quantized-frac-bits ")) {
+    artifact.quantized = parse_quantized_section(r);
   }
-  check(token == "network", "expected 'network'");
-  // Rest of the payload (after the marker's newline) is network v2 text.
-  is.get();  // consume '\n'
-  std::ostringstream rest;
-  rest << is.rdbuf();
+  check(r.skip("network\n"), "expected 'network'");
   try {
-    artifact.network = nn::network_from_string(rest.str());
+    artifact.network = nn::network_from_string(r.rest());
   } catch (const nn::SerializeError& e) {
     fail(RegistryError::Kind::kBadArtifact,
          std::string("embedded network rejected: ") + e.what());
@@ -310,8 +275,7 @@ std::uint64_t attach_quantized(ModelArtifact& artifact, int frac_bits,
   (void)nn::QuantizedEngine(qnet, input_limit,
                             linalg::KernelBackend::kReference);
   artifact.quantized.emplace(input_limit, std::move(qnet));
-  artifact.quantized->content_hash =
-      fnv1a64(quantized_section_text(*artifact.quantized));
+  artifact.quantized->content_hash = quantized_hash(*artifact.quantized);
   return artifact.quantized->content_hash;
 }
 
@@ -337,110 +301,69 @@ std::uint64_t save_artifact(std::ostream& os, const ModelArtifact& artifact,
   return hash;
 }
 
-namespace {
-
-/// v3 container: `artifact-checksum` + `payload-bytes` lines, then the
-/// length-framed safenn-pack blob holding the canonical payload.
-ModelArtifact load_packed(const std::string& text, std::size_t header_end) {
-  std::size_t pos = header_end + 1;
-
-  const std::size_t checksum_end = text.find('\n', pos);
-  check(checksum_end != std::string::npos, "missing checksum line");
-  const std::string checksum_line = text.substr(pos, checksum_end - pos);
-  const std::size_t marker_len = std::string(kChecksumMarker).size();
-  check(checksum_line.compare(0, marker_len, kChecksumMarker) == 0,
-        "expected 'artifact-checksum' line");
-  std::uint64_t recorded = 0;
-  try {
-    recorded = parse_hex64(checksum_line.substr(marker_len));
-  } catch (const Error&) {
-    fail(RegistryError::Kind::kBadArtifact, "unparseable checksum value");
-  }
-  pos = checksum_end + 1;
-
-  const std::size_t bytes_end = text.find('\n', pos);
-  check(bytes_end != std::string::npos, "missing payload-bytes line");
-  const std::string bytes_line = text.substr(pos, bytes_end - pos);
-  const std::size_t bytes_marker_len = std::string(kPayloadBytesMarker).size();
-  check(bytes_line.compare(0, bytes_marker_len, kPayloadBytesMarker) == 0,
-        "expected 'payload-bytes' line");
-  std::size_t blob_size = 0;
-  try {
-    blob_size = std::stoull(bytes_line.substr(bytes_marker_len));
-  } catch (const std::exception&) {
-    fail(RegistryError::Kind::kBadArtifact, "unparseable payload-bytes value");
-  }
-  pos = bytes_end + 1;
-
-  check(text.size() - pos >= blob_size,
-        "truncated packed payload (declared " + std::to_string(blob_size) +
-            " bytes)");
-  std::string payload;
-  try {
-    payload = decompress_text(
-        std::string_view(text).substr(pos, blob_size));
-  } catch (const Error& e) {
-    fail(RegistryError::Kind::kBadArtifact,
-         std::string("packed payload rejected: ") + e.what());
-  }
-
-  const std::uint64_t actual = fnv1a64(payload);
-  if (actual != recorded) {
-    fail(RegistryError::Kind::kHashMismatch,
-         "content hash " + hex64(actual) + " != recorded " + hex64(recorded));
-  }
-
-  ModelArtifact artifact = parse_payload(payload);
-  artifact.content_hash = actual;
-  return artifact;
-}
-
-}  // namespace
-
 ModelArtifact load_artifact(std::istream& is) {
   std::ostringstream buffer;
   buffer << is.rdbuf();
-  const std::string text = buffer.str();
+  const std::string text = std::move(buffer).str();
+  const std::string_view view(text);
 
-  const std::size_t header_end = text.find('\n');
-  check(header_end != std::string::npos, "missing header line");
-  {
-    std::istringstream header(text.substr(0, header_end));
-    std::string magic, version;
-    header >> magic >> version;
-    check(magic == kMagic, "not a safenn-artifact file");
-    check(version == kVersionPlain || version == kVersionQuantized ||
-              version == kVersionPacked,
-          "unsupported artifact format version '" + version + "'");
-    if (version == kVersionPacked) return load_packed(text, header_end);
+  const std::size_t header_end = view.find('\n');
+  check(header_end != std::string_view::npos, "missing header line");
+  const std::string_view header = view.substr(0, header_end);
+  check(header.substr(0, header.find(' ')) == kMagic,
+        "not a safenn-artifact file");
+  const std::string_view version =
+      header.substr(std::min(header.size(), kMagic.size() + 1));
+  check(version == kVersionPlain || version == kVersionQuantized ||
+            version == kVersionPacked,
+        "unsupported artifact format version '" + std::string(version) + "'");
+
+  std::string_view recorded_hex, payload;
+  std::string unpacked;
+  if (version == kVersionPacked) {
+    // v3: `artifact-checksum` and `payload-bytes` lines, then the
+    // length-framed safenn-pack blob and a final '\n'.
+    numtext::Reader r(view.substr(header_end + 1));
+    std::size_t blob_size = 0;
+    check(r.skip(kChecksumMarker), "expected 'artifact-checksum' line");
+    recorded_hex = r.word('\n');
+    check(r.skip(kPayloadBytesMarker) && r.read(blob_size, '\n'),
+          "bad 'payload-bytes' line");
+    const std::string_view rest = r.rest();
+    check(rest.ends_with('\n') && rest.size() - 1 == blob_size,
+          "packed payload is not the declared " + std::to_string(blob_size) +
+              " bytes and a newline");
+    try {
+      unpacked = decompress_text(rest.substr(0, blob_size));
+    } catch (const Error& e) {
+      fail(RegistryError::Kind::kBadArtifact,
+           std::string("packed payload rejected: ") + e.what());
+    }
+    payload = unpacked;
+  } else {
+    // v1/v2: the payload, then a final `artifact-checksum` line.
+    const std::size_t marker_pos =
+        view.rfind(std::string("\n") + kChecksumMarker);
+    check(marker_pos != std::string_view::npos && marker_pos > header_end,
+          "missing artifact-checksum trailer (truncated file?)");
+    numtext::Reader trailer(view.substr(marker_pos + 1));
+    trailer.skip(kChecksumMarker);
+    recorded_hex = trailer.word('\n');
+    check(trailer.rest().empty(), "bytes after the artifact-checksum line");
+    payload = view.substr(header_end + 1, marker_pos - header_end);
   }
 
-  const std::size_t marker_pos =
-      text.rfind(std::string("\n") + kChecksumMarker);
-  check(marker_pos != std::string::npos && marker_pos > header_end,
-        "missing artifact-checksum trailer (truncated file?)");
-  std::string recorded_hex = text.substr(
-      marker_pos + 1 + std::string(kChecksumMarker).size());
-  while (!recorded_hex.empty() &&
-         (recorded_hex.back() == '\n' || recorded_hex.back() == '\r')) {
-    recorded_hex.pop_back();
-  }
-  std::uint64_t recorded = 0;
-  try {
-    recorded = parse_hex64(recorded_hex);
-  } catch (const Error&) {
-    fail(RegistryError::Kind::kBadArtifact, "unparseable checksum value");
-  }
-
-  const std::string payload =
-      text.substr(header_end + 1, marker_pos - header_end);
+  const std::uint64_t recorded = checksum_value(recorded_hex);
   const std::uint64_t actual = fnv1a64(payload);
   if (actual != recorded) {
     fail(RegistryError::Kind::kHashMismatch,
-         "content hash " + hex64(actual) + " != recorded " + recorded_hex);
+         "content hash " + hex64(actual) + " != recorded " +
+             std::string(recorded_hex));
   }
-
   ModelArtifact artifact = parse_payload(payload);
+  check(version == kVersionPacked ||
+            artifact.quantized.has_value() == (version == kVersionQuantized),
+        "format version does not match the quantized section");
   artifact.content_hash = actual;
   return artifact;
 }

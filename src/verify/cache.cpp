@@ -38,15 +38,6 @@ double parse_double(const std::string& s, bool* ok) {
   return v;
 }
 
-const char* relation_text(lp::Relation r) {
-  switch (r) {
-    case lp::Relation::kLe: return "le";
-    case lp::Relation::kGe: return "ge";
-    case lp::Relation::kEq: return "eq";
-  }
-  return "?";
-}
-
 }  // namespace
 
 std::string canonical_property_text(const SafetyProperty& property) {
@@ -57,7 +48,7 @@ std::string canonical_property_text(const SafetyProperty& property) {
   }
   os << "constraints " << property.region.constraints.size() << '\n';
   for (const InputConstraint& c : property.region.constraints) {
-    os << relation_text(c.relation) << ' ' << format_double(c.rhs) << ' '
+    os << lp::to_string(c.relation) << ' ' << format_double(c.rhs) << ' '
        << c.terms.size();
     for (const auto& [idx, coef] : c.terms) {
       os << ' ' << idx << ' ' << format_double(coef);

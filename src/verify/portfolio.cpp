@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <string>
@@ -10,6 +9,7 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/numtext.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/task_pool.hpp"
@@ -259,19 +259,26 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   const Interval root_iv =
       SymbolicPropagator::objective_interval(root_sb, region.box, expr.terms);
 
-  // Warm-start sample sweep: best concrete execution over the region.
+  // Warm-start sample sweep: best concrete execution over the region, as
+  // one kReference batch (each row bitwise equal to forward() on it).
   bool sample_has = false;
   double sample_best = -kInf;
   linalg::Vector sample_x;
   if (options_.warm_start_samples > 0) {
     Rng rng(options_.warm_start_seed);
-    for (long t = 0; t < options_.warm_start_samples; ++t) {
-      linalg::Vector x(net.input_size());
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x[i] = rng.uniform(region.box[i].lo, region.box[i].hi);
+    linalg::Matrix xs(static_cast<std::size_t>(options_.warm_start_samples),
+                      net.input_size());
+    for (std::size_t r = 0; r < xs.rows(); ++r) {
+      for (std::size_t i = 0; i < xs.cols(); ++i) {
+        xs(r, i) = rng.uniform(region.box[i].lo, region.box[i].hi);
       }
+    }
+    const linalg::Matrix ys =
+        net.forward_batch(xs, linalg::KernelBackend::kReference);
+    for (std::size_t r = 0; r < xs.rows(); ++r) {
+      linalg::Vector x = xs.row(r);
       if (!region.contains(x)) continue;
-      const double val = expr.evaluate(net.forward(x));
+      const double val = expr.evaluate(ys.row(r));
       if (!sample_has || val > sample_best) {
         sample_has = true;
         sample_best = val;
@@ -680,9 +687,8 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
     for (const EngineOutcome& o : outs) {
       if (!o.decided || o.verdict == result.verdict) continue;
       auto fmt = [](double v) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        return std::string(buf);
+        char buf[numtext::kMaxChars];
+        return std::string(buf, numtext::write(buf, v));
       };
       std::string msg = "PortfolioVerifier: engines disagree on the verdict"
                         " (threshold=" + fmt(threshold) + "):";

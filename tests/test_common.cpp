@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -9,6 +13,7 @@
 #include "common/compress.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/numtext.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 
@@ -484,6 +489,159 @@ TEST(Compress, MalformedBlobsThrowInsteadOfYieldingWrongText) {
   std::string resized = blob;
   resized[kPackMagic.size()] ^= 0x01;
   EXPECT_THROW(decompress_text(resized), Error);
+}
+
+TEST(Compress, SubnormalTokensStayLiteral) {
+  // The pack format's first encoder parsed with strtod, which reports
+  // subnormals as range errors and so left them literal. Packing them
+  // now would change the bytes of every blob that holds one.
+  const std::string subnormal = "4.9406564584124654e-324";
+  const std::string normal = "0.12345678901234568";
+  const std::string text = subnormal + ' ' + normal + '\n';
+  const std::string blob = compress_text(text);
+  EXPECT_NE(blob.find(subnormal), std::string::npos);
+  EXPECT_EQ(blob.find(normal), std::string::npos);
+  EXPECT_EQ(decompress_text(blob), text);
+}
+
+// --- numtext: the exact number codec every canonical format shares. ---
+
+std::string printf_g17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+template <class T>
+std::string written(T v) {
+  char buf[numtext::kMaxChars];
+  return std::string(buf, numtext::write(buf, v));
+}
+
+TEST(NumText, EdgeValuesMatchPrintf) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double edges[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          std::bit_cast<double>(0x000fffffffffffffull),
+                          DBL_MIN,
+                          -DBL_MIN,
+                          DBL_MAX,
+                          -DBL_MAX,
+                          0.1,
+                          1.0 / 3.0,
+                          1e21,
+                          1e-5,
+                          9007199254740993.0,  // 2^53 + 1 (rounds to 2^53)
+                          std::ldexp(1.0, 53) + 2.0,
+                          123456789012345678.0,
+                          inf,
+                          -inf};
+  for (const double v : edges) {
+    EXPECT_EQ(written(v), printf_g17(v)) << printf_g17(v);
+    double back = 0.0;
+    ASSERT_TRUE(numtext::parse(written(v), back)) << written(v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(v))
+        << written(v);
+  }
+
+  const long long ints[] = {0,
+                            1,
+                            -1,
+                            42,
+                            -9007199254740993LL,
+                            std::numeric_limits<long long>::max(),
+                            std::numeric_limits<long long>::min()};
+  for (const long long v : ints) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", v);
+    EXPECT_EQ(written(static_cast<std::int64_t>(v)), buf);
+    std::int64_t back = 0;
+    ASSERT_TRUE(numtext::parse(written(static_cast<std::int64_t>(v)), back));
+    EXPECT_EQ(back, v);
+  }
+  const std::size_t big = std::numeric_limits<std::size_t>::max();
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%zu", big);
+  EXPECT_EQ(written(big), buf);
+}
+
+TEST(NumText, RandomBitPatternsMatchPrintfAndParseBackBitwise) {
+  Rng rng(2026);
+  int mismatches = 0;
+  int checked = 0;
+  while (checked < 120000) {
+    const std::uint64_t bits = rng.next_u64();
+    const double v = std::bit_cast<double>(bits);
+    if (!std::isfinite(v)) continue;
+    ++checked;
+    const std::string text = written(v);
+    double back = 0.0;
+    if (text != printf_g17(v) || !numtext::parse(text, back) ||
+        std::bit_cast<std::uint64_t>(back) != bits) {
+      if (++mismatches <= 5) ADD_FAILURE() << text << " vs " << printf_g17(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(NumText, ParseTakesWholeTokensOnly) {
+  double d = 7.0;
+  for (const char* bad : {"", " 1", "1 ", "+1", "1.5abc", "0x1p3", "1e400",
+                          "--1", "1,5"}) {
+    EXPECT_FALSE(numtext::parse(bad, d)) << '"' << bad << '"';
+  }
+  EXPECT_EQ(d, 7.0);  // failed parses leave the target alone
+  std::int64_t i = 7;
+  for (const char* bad : {"", "1.0", "+1", "9223372036854775808", "1e3"}) {
+    EXPECT_FALSE(numtext::parse(bad, i)) << '"' << bad << '"';
+  }
+  std::size_t u = 7;
+  EXPECT_FALSE(numtext::parse("-1", u));
+  EXPECT_TRUE(numtext::parse("-2.5e-3", d));
+  EXPECT_EQ(d, -2.5e-3);
+}
+
+TEST(NumText, WriterSinksYieldTheSameBytes) {
+  std::string text;
+  Fnv1a64 hash;
+  numtext::Writer(text) << "layer " << std::size_t{3} << ' ' << -0.1 << '\n';
+  numtext::Writer(hash) << "layer " << std::size_t{3} << ' ' << -0.1 << '\n';
+  EXPECT_EQ(text, "layer 3 -0.10000000000000001\n");
+  EXPECT_EQ(hash.digest(), fnv1a64(text));
+}
+
+TEST(NumText, ReaderDemandsTheWrittenLayout) {
+  {
+    numtext::Reader r("layer 3 0.5\n7\n");
+    std::size_t n = 0;
+    double v = 0.0;
+    int k = 0;
+    EXPECT_TRUE(r.skip("layer "));
+    EXPECT_TRUE(r.read(n, ' '));
+    EXPECT_TRUE(r.read(v, '\n'));
+    EXPECT_TRUE(r.read(k, '\n'));
+    EXPECT_TRUE(r.rest().empty());
+    EXPECT_EQ(n, 3u);
+    EXPECT_EQ(v, 0.5);
+    EXPECT_EQ(k, 7);
+  }
+  double v = 0.0;
+  // Wrong separator, doubled or foreign whitespace, glued bytes, no
+  // terminator, non-finite values.
+  for (const char* bad : {"0.5 ", "0.5\t\n", " 0.5\n", "0.5\r\n", "0.5x\n",
+                          "0.5", "inf\n", "-nan\n", "\n"}) {
+    numtext::Reader r(bad);
+    EXPECT_FALSE(r.read(v, '\n')) << '"' << bad << '"';
+  }
+  EXPECT_TRUE(numtext::Reader("a\n").word(' ').empty());
+  // Declared counts are bounded by the bytes left.
+  numtext::Reader r("1 2 3\n");
+  EXPECT_TRUE(r.room_for(3));
+  EXPECT_FALSE(r.room_for(4));
+  EXPECT_FALSE(r.room_for(std::numeric_limits<std::size_t>::max(), 2));
 }
 
 TEST(Rng, SplitChildrenIndependentOfDrawInterleaving) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
@@ -215,9 +217,14 @@ TEST(DatasetIo, RoundTripPreservesValues) {
   ASSERT_EQ(back.size(), d.size());
   ASSERT_EQ(back.input_dim(), 3u);
   ASSERT_EQ(back.target_dim(), 2u);
+  // 17 significant digits round-trip every double bit for bit.
+  const auto same_bits = [](const linalg::Vector& a, const linalg::Vector& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
   for (std::size_t i = 0; i < d.size(); ++i) {
-    EXPECT_TRUE(linalg::approx_equal(back.input(i), d.input(i), 1e-12));
-    EXPECT_TRUE(linalg::approx_equal(back.target(i), d.target(i), 1e-12));
+    EXPECT_TRUE(same_bits(back.input(i), d.input(i))) << i;
+    EXPECT_TRUE(same_bits(back.target(i), d.target(i))) << i;
   }
 }
 
@@ -241,6 +248,20 @@ TEST(DatasetIo, RejectsEmptyAndRagged) {
   EXPECT_THROW(load_dataset_csv(ragged, 1), Error);
   std::stringstream non_numeric("x0,y0\nhello,3\n");
   EXPECT_THROW(load_dataset_csv(non_numeric, 1), Error);
+}
+
+TEST(DatasetIo, RejectsCellsThatAreNotWholeNumbers) {
+  // Each cell must parse whole: a numeric prefix is not a number.
+  for (const char* row : {"1.5abc,3\n", "1.5, 3\n", "+1,3\n", "0x10,3\n",
+                          "1.5\r,3\n", ",3\n"}) {
+    std::stringstream ss(std::string("x0,y0\n") + row);
+    EXPECT_THROW(load_dataset_csv(ss, 1), Error) << row;
+  }
+  std::stringstream ok("x0,y0\n1.5,-3e-05\n");
+  const Dataset d = load_dataset_csv(ok, 1);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d.input(0)[0], 1.5);
+  EXPECT_EQ(d.target(0)[0], -3e-05);
 }
 
 TEST(DatasetIo, FileRoundTrip) {

@@ -494,6 +494,95 @@ TEST(Serialize, NoPartialNetworkOnFailure) {
   EXPECT_THROW(load_network_file(path + ".does-not-exist"), SerializeError);
 }
 
+TEST(Serialize, ChecksumIsTheSavedTrailer) {
+  Rng rng(17);
+  const Network net = Network::make_mlp({5, 8, 2}, Activation::kRelu,
+                                        Activation::kIdentity, rng);
+  const std::string text = network_to_string(net);
+  EXPECT_EQ(text.substr(text.size() - 17, 16), hex64(network_checksum(net)));
+}
+
+std::string forge_network(const std::string& payload) {
+  return "safenn-network v2\n" + payload + "checksum " +
+         hex64(fnv1a64(payload)) + '\n';
+}
+
+// The checksum gate only proves the bytes are the recorded ones; a forged
+// (or future-writer) payload must still have exactly the layout and
+// number spelling save_network emits, or it is kMalformed.
+TEST(Serialize, RejectsTokensTheWriterCannotEmit) {
+  const std::string good = "layers 1\nlayer 2 1 identity\n0.5\n0.25 -1\n";
+  EXPECT_EQ(network_to_string(network_from_string(forge_network(good))),
+            forge_network(good));
+
+  const std::pair<std::string, std::string> swaps[] = {
+      {"0.25", "inf"},          {"0.25", "nan"},
+      {"0.25", "+1"},           {"0.25", "0x1p3"},
+      {"0.25", "1.5abc"},       {"0.25 -1", "0.25\t-1"},
+      {"layer 2", "layer\t2"},  {"0.5\n", "0.5 \n"},
+      {"0.5\n", "0.5\r\n"},    {"0.25 -1\n", "0.25\n-1\n"},
+      {"layers 1", "layers +1"}, {"layer 2 1", "layer 2 -1"},
+      {"identity", "softmax"},  {"layers 1", "layers 2"},
+  };
+  for (const auto& [from, to] : swaps) {
+    std::string payload = good;
+    payload.replace(payload.find(from), from.size(), to);
+    EXPECT_EQ(load_kind(forge_network(payload)),
+              SerializeError::Kind::kMalformed)
+        << to;
+  }
+  // Trailing bytes, a shape the payload cannot hold, layers that do not
+  // chain.
+  EXPECT_EQ(load_kind(forge_network(good + "0\n")),
+            SerializeError::Kind::kMalformed);
+  EXPECT_EQ(load_kind(forge_network(
+                "layers 1\nlayer 100000000 100000000 identity\n0\n")),
+            SerializeError::Kind::kMalformed);
+  EXPECT_EQ(load_kind(forge_network("layers 2\n" + good.substr(9) +
+                                    "layer 2 1 identity\n0\n1 1\n")),
+            SerializeError::Kind::kMalformed);
+  // The trailer is exactly "checksum <16 hex>\n".
+  const std::string text = forge_network(good);
+  EXPECT_EQ(load_kind(text.substr(0, text.size() - 1)),
+            SerializeError::Kind::kMalformed);
+  EXPECT_EQ(load_kind(text + "\n"), SerializeError::Kind::kMalformed);
+}
+
+// Deterministic mutation sweep: byte flips at a fixed stride and a cut at
+// every line start. Each input must end in a typed SerializeError or load
+// a network that re-serializes to exactly the input bytes.
+TEST(Serialize, MutationSweepEndsTypedOrRoundTrips) {
+  Rng rng(16);
+  const Network net = Network::make_mlp({4, 6, 3}, Activation::kRelu,
+                                        Activation::kIdentity, rng);
+  const std::string text = network_to_string(net);
+  int round_trips = 0;
+  const auto probe = [&](const std::string& input, const std::string& what) {
+    try {
+      const std::string again = network_to_string(network_from_string(input));
+      EXPECT_EQ(again, input) << what;
+      ++round_trips;
+    } catch (const SerializeError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": untyped " << e.what();
+    }
+  };
+  for (std::size_t pos = 0; pos < text.size(); pos += 3) {
+    for (const unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string mutated = text;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
+      probe(mutated, "flip " + std::to_string(mask) + " at " +
+                         std::to_string(pos));
+    }
+  }
+  for (std::size_t pos = 0; pos <= text.size(); ++pos) {
+    if (pos == 0 || text[pos - 1] == '\n') {
+      probe(text.substr(0, pos), "cut at " + std::to_string(pos));
+    }
+  }
+  EXPECT_EQ(round_trips, 1);  // only the uncut text loads
+}
+
 TEST(Quantize, FixedPointConversionsRoundTrip) {
   Rng rng(15);
   Network net = Network::make_mlp({2, 3, 1}, Activation::kRelu,

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "nn/quantize.hpp"
@@ -130,6 +132,27 @@ TEST(CacheKey, PropertyEditInvalidates) {
   shifted.region.box[1].hi = 0.75;
   const CacheKey c = make_cache_key(craft_net(), shifted);
   EXPECT_NE(a.property, c.property);
+}
+
+// The key bytes are a persistent contract: CI restores a verification
+// cache across commits, so a formatter change that moved any key would
+// silently invalidate it. These values were produced before the number
+// codec moved to <charconv>.
+TEST(CacheKey, ValuesArePinnedAcrossFormatterChanges) {
+  Rng rng(2024);
+  const Network net = Network::make_mlp({4, 16, 16, 2}, Activation::kRelu,
+                                        Activation::kIdentity, rng);
+  SafetyProperty prop;
+  prop.region.box = Box(4, Interval{-1.0, 1.0});
+  prop.region.constraints.push_back(
+      InputConstraint{{{0, 1.0}, {2, -0.5}}, lp::Relation::kLe, 0.25});
+  prop.expr.terms = {{0, 1.0}, {1, -0.5}};
+  prop.threshold = 0.3;
+  const CacheKey key = make_cache_key(net, prop);
+  EXPECT_EQ(hex64(key.network), "0c61e9dd705d341d");
+  EXPECT_EQ(key.hex(), "e4add0a3980fbed1");
+  EXPECT_EQ(make_cache_key(craft_net(), craft_property(0.55)).hex(),
+            "0042578bba708f0a");
 }
 
 // -------------------------------------------------------------------------
@@ -572,6 +595,71 @@ TEST(EarlyExit, MilpVerifierStopsAtThreshold) {
 // -------------------------------------------------------------------------
 // Racing mode: sound verdicts under full sharing and cancellation.
 // -------------------------------------------------------------------------
+
+// The warm-start sweep runs its in-region samples as one batch; the root
+// outcome must be the per-sample forward() loop's first strict maximum,
+// bit for bit, whether the root decides alone or the race runs.
+TEST(PortfolioWarmStart, BatchedSweepMatchesPerSampleLoopBitwise) {
+  Rng net_rng(77);
+  const Network net = Network::make_mlp({3, 12, 12, 2}, Activation::kRelu,
+                                        Activation::kIdentity, net_rng);
+  SafetyProperty prop;
+  prop.region.box = Box(3, Interval{-1.0, 1.0});
+  // x0 + x1 <= 0.25 rejects about a third of the box samples.
+  prop.region.constraints.push_back(
+      InputConstraint{{{0, 1.0}, {1, 1.0}}, lp::Relation::kLe, 0.25});
+  prop.expr.terms = {{0, 1.0}, {1, -0.5}};
+
+  const PortfolioOptions defaults;
+  Rng rng(defaults.warm_start_seed);
+  bool has = false;
+  double best = 0.0;
+  Vector best_x;
+  long rejected = 0;
+  for (long t = 0; t < defaults.warm_start_samples; ++t) {
+    Vector x(3);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = rng.uniform(prop.region.box[i].lo, prop.region.box[i].hi);
+    }
+    if (!prop.region.contains(x)) {
+      ++rejected;
+      continue;
+    }
+    const double val = prop.expr.evaluate(net.forward(x));
+    if (!has || val > best) {
+      has = true;
+      best = val;
+      best_x = x;
+    }
+  }
+  ASSERT_TRUE(has);
+  ASSERT_GT(rejected, 0);
+
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  // 1e9: the root bound decides alone. best + 1e-3: the race runs.
+  for (const double threshold : {1e9, best + 1e-3}) {
+    prop.threshold = threshold;
+    for (const int workers : {1, 3}) {
+      PortfolioOptions o;
+      o.num_workers = workers;
+      o.time_limit_seconds = 2.0;
+      const PortfolioResult r = PortfolioVerifier(o).prove(net, prop);
+      ASSERT_FALSE(r.engines.empty());
+      const EngineOutcome& root = r.engines.front();
+      ASSERT_EQ(root.engine, PortfolioEngine::kRoot);
+      EXPECT_TRUE(root.has_value);
+      EXPECT_TRUE(same_bits(root.max_value, best))
+          << root.max_value << " vs " << best;
+      ASSERT_EQ(root.witness.size(), best_x.size());
+      for (std::size_t i = 0; i < best_x.size(); ++i) {
+        EXPECT_TRUE(same_bits(root.witness[i], best_x[i])) << i;
+      }
+      EXPECT_EQ(r.engines.size(), threshold == 1e9 ? 1u : 4u) << workers;
+    }
+  }
+}
 
 TEST(PortfolioRacing, AgreesWithDeterministicVerdicts) {
   const Network net = craft_net();

@@ -14,6 +14,7 @@
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "highway/safety_rules.hpp"
+#include "nn/serialize.hpp"
 #include "registry/live_model.hpp"
 #include "registry/registry.hpp"
 
@@ -637,6 +638,163 @@ TEST(Artifact, PlainArtifactsStillWriteFormatV1) {
   const std::string text = artifact_text(make_test_artifact("v1"));
   EXPECT_EQ(text.rfind("safenn-artifact v1\n", 0), 0u);
   EXPECT_EQ(text.find("quantized"), std::string::npos);
+}
+
+// -------------------------------------------------------------------------
+// Committed artifacts pin the byte format; the parsers accept only it.
+// -------------------------------------------------------------------------
+
+std::string read_bytes(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  return buffer.str();
+}
+
+// Every committed artifact loads with the content hash and network
+// checksum it was published with and re-saves, packed, to the same file.
+TEST(Artifact, CommittedArtifactsResaveByteIdentically) {
+  struct Committed {
+    const char* path;
+    const char* content_hash;
+    const char* network_checksum;
+  };
+  const Committed committed[] = {
+      {"serve_predictor_registry/alpha-v1.safennz", "32c12db6fb735134",
+       "a90075057c950928"},
+      {"serve_predictor_registry/beta-v1.safennz", "88fcce13480b45ad",
+       "a90075057c950928"},
+      {"serve_predictor_registry/beta-v2.safennz", "87f1ae20aae6ec7c",
+       "a90075057c950928"},
+      {"perfbench/data/fleet/alpha-v1.safennz", "5aebc638190767a9",
+       "fc0a8605efa94b5d"},
+      {"perfbench/data/fleet/beta-v1.safennz", "1b411a55026b6d11",
+       "92025f3b92db5805"},
+  };
+  for (const Committed& c : committed) {
+    const fs::path path = fs::path(SAFENN_SOURCE_DIR) / c.path;
+    const ModelArtifact artifact = load_artifact_file(path.string());
+    EXPECT_EQ(hex64(artifact.content_hash), c.content_hash) << c.path;
+    EXPECT_EQ(hex64(nn::network_checksum(artifact.network)),
+              c.network_checksum)
+        << c.path;
+    std::ostringstream os;
+    save_artifact(os, artifact, ArtifactEncoding::kPacked);
+    EXPECT_EQ(os.str(), read_bytes(path)) << c.path;
+  }
+}
+
+std::string stamp(const std::string& version, const std::string& payload) {
+  return "safenn-artifact " + version + "\n" + payload +
+         "artifact-checksum " + hex64(fnv1a64(payload)) + '\n';
+}
+
+std::string payload_of(const std::string& text) {
+  const std::size_t header_end = text.find('\n');
+  const std::size_t marker = text.rfind("\nartifact-checksum ");
+  return text.substr(header_end + 1, marker - header_end);
+}
+
+// A checksum-valid payload still has to be what save_artifact writes:
+// tokens or separators no writer emits are kBadArtifact, never a guess.
+TEST(Artifact, RejectsTokensTheWriterCannotEmit) {
+  ModelArtifact artifact = make_test_artifact("vq", 11, 0.75);
+  attach_quantized(artifact, 8, 4.0);
+  const std::string good = payload_of(artifact_text(artifact));
+  ASSERT_EQ(stamp("v2", good), artifact_text(artifact));
+
+  const std::pair<std::string, std::string> swaps[] = {
+      {"monitor-threshold 0.75", "monitor-threshold inf"},
+      {"monitor-threshold 0.75", "monitor-threshold nan"},
+      {"monitor-threshold 0.75", "monitor-threshold +0.75"},
+      {"monitor-threshold 0.75", "monitor-threshold 0x1p3"},
+      {"monitor-threshold 0.75", "monitor-threshold 0.75abc"},
+      {"monitor-threshold 0.75", "monitor-threshold\t0.75"},
+      {"monitor-threshold 0.75\n", "monitor-threshold 0.75\r\n"},
+      {"quantized-frac-bits 8", "quantized-frac-bits +8"},
+      {"quantized-input-limit 4", "quantized-input-limit 4abc"},
+      {"mdn 1 ", "mdn\t1 "},
+      {"version vq\n", "version vq\t\n"},
+  };
+  for (const auto& [from, to] : swaps) {
+    std::string payload = good;
+    payload.replace(payload.find(from), from.size(), to);
+    EXPECT_EQ(load_kind(stamp("v2", payload)),
+              RegistryError::Kind::kBadArtifact)
+        << to;
+  }
+  // The header's format version must match the payload, and the trailer
+  // must be whole.
+  EXPECT_EQ(load_kind(stamp("v1", good)), RegistryError::Kind::kBadArtifact);
+  const std::string text = stamp("v2", good);
+  EXPECT_EQ(load_kind(text.substr(0, text.size() - 1)),
+            RegistryError::Kind::kBadArtifact);
+
+  // Packed container: a signed or wrapping length, bytes after the blob.
+  std::ostringstream os;
+  save_artifact(os, artifact, ArtifactEncoding::kPacked);
+  const std::string packed = os.str();
+  const std::size_t length_at = packed.find("payload-bytes ") + 14;
+  const std::size_t length_end = packed.find('\n', length_at);
+  for (const char* length : {"+1", "18446744073709551615"}) {
+    std::string bad = packed;
+    bad.replace(length_at, length_end - length_at, length);
+    EXPECT_EQ(load_kind(bad), RegistryError::Kind::kBadArtifact) << length;
+    // The same line with no blob after it at all.
+    bad.resize(bad.find('\n', length_at) + 1);
+    EXPECT_EQ(load_kind(bad), RegistryError::Kind::kBadArtifact) << length;
+  }
+  EXPECT_EQ(load_kind(packed + "x"), RegistryError::Kind::kBadArtifact);
+}
+
+// Deterministic mutation sweep over a committed packed artifact and a
+// quantized artifact in both encodings: byte flips at a fixed stride and a
+// cut at every line start. Each input must end in a typed RegistryError
+// or load an artifact that re-saves to exactly the input bytes.
+TEST(Artifact, MutationSweepEndsTypedOrRoundTrips) {
+  ModelArtifact quantized = make_test_artifact("vq", 11);
+  attach_quantized(quantized, 8, 4.0);
+  std::ostringstream packed;
+  save_artifact(packed, quantized, ArtifactEncoding::kPacked);
+  const std::pair<std::string, ArtifactEncoding> seeds[] = {
+      {read_bytes(fs::path(SAFENN_SOURCE_DIR) /
+                  "serve_predictor_registry/beta-v2.safennz"),
+       ArtifactEncoding::kPacked},
+      {packed.str(), ArtifactEncoding::kPacked},
+      {artifact_text(quantized), ArtifactEncoding::kPlain},
+  };
+  int round_trips = 0;
+  for (const auto& entry : seeds) {
+    const std::string& seed = entry.first;
+    const ArtifactEncoding encoding = entry.second;
+    const auto probe = [&](const std::string& input, const std::string& what) {
+      try {
+        std::istringstream is(input);
+        const ModelArtifact loaded = load_artifact(is);
+        std::ostringstream os;
+        save_artifact(os, loaded, encoding);
+        EXPECT_EQ(os.str(), input) << what;
+        ++round_trips;
+      } catch (const RegistryError&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << what << ": untyped " << e.what();
+      }
+    };
+    for (std::size_t pos = 0; pos < seed.size(); pos += 5) {
+      for (const unsigned char mask : {0x01, 0x20, 0x80}) {
+        std::string mutated = seed;
+        mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
+        probe(mutated, "flip " + std::to_string(mask) + " at " +
+                           std::to_string(pos));
+      }
+    }
+    for (std::size_t pos = 0; pos <= seed.size(); ++pos) {
+      if (pos == 0 || seed[pos - 1] == '\n') {
+        probe(seed.substr(0, pos), "cut at " + std::to_string(pos));
+      }
+    }
+  }
+  EXPECT_EQ(round_trips, 3);  // each uncut seed, nothing else
 }
 
 TEST(LiveModel, QuantizedSnapshotBuildsPackedEngine) {
