@@ -366,8 +366,9 @@ BENCHMARK(BM_RequestQueuePushPopBatch)->Arg(1)->Arg(16)->Arg(64);
 
 // Cross-thread handoff: one producer pushing against one consumer
 // draining micro-batches of 16 — the shape worker pools actually see.
-// Wakeups here go through notify_one (notify_all is reserved for
-// close()), so a sleeping consumer costs one wake, not a stampede.
+// The consumer probes with try_pop_batch as the sharded pool's workers
+// do, yielding while the queue is empty; a producer blocked on a full
+// queue is woken once per drain.
 void BM_RequestQueueHandoff(benchmark::State& state) {
   serve::RequestQueue queue(1024);
   std::thread consumer([&queue] {
@@ -375,7 +376,9 @@ void BM_RequestQueueHandoff(benchmark::State& state) {
     popped.reserve(16);
     for (;;) {
       popped.clear();
-      if (queue.pop_batch(popped, 16) == 0) return;
+      if (queue.try_pop_batch(popped, 16) > 0) continue;
+      if (queue.closed() && queue.size() == 0) return;
+      std::this_thread::yield();
     }
   });
   std::uint64_t id = 0;

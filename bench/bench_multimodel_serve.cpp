@@ -1,4 +1,6 @@
-// Multi-model serving + compressed artifacts, proven end to end.
+// Serving, proven end to end: compressed artifacts, routed throughput,
+// worker scaling, and determinism across hot swaps. A single model is a
+// one-entry MultiModelServer, so every section runs the one serving path.
 //
 // The run is an executable check (exit nonzero on any violation),
 // reported as JSON (stdout + SAFENN_MM_JSON, default BENCH_multimodel.json):
@@ -9,17 +11,25 @@
 //      compression ratio >= 2x. The serving phases load their models
 //      from the packed registry, so what is proven below was read from
 //      compressed bytes.
-//   2. Routed throughput: a 2-model MultiModelServer at 1 worker stays
-//      within 10% of the single-model InferenceServer baseline at
-//      1 worker (best-of-N trials each; this container has 1 core, so
-//      routing overhead — not parallel speedup — is what is measurable).
-//   3. Determinism under routing + work stealing + a mid-run hot swap:
-//      zero cross-model mixed micro-batches; every response tagged with
-//      (model_id, version, backend); each (model, version)'s
-//      intervention/assumption counters BITWISE equal to a sequential
-//      replay of exactly the scenes that pair served; per-model slices
-//      equal to the sum of that model's version slices; every version
-//      takes traffic.
+//   2. Routed throughput: a 2-model fleet at 1 worker stays within 10% of
+//      a one-entry fleet (alpha alone) at 1 worker. Best-of-N trials
+//      each, interleaved (single, routed, single, ...) so host drift hits
+//      both sides alike; the delta is routing + sharded-queue overhead.
+//   3. Worker scaling: a one-entry fleet serves the same scenes at 1/2/4
+//      workers (1/2 under --smoke); at every worker count its
+//      intervention total equals a sequential replay of those scenes.
+//   4. Determinism under routing + work stealing + hot swaps: beta swaps
+//      v1 -> v2 -> v3 -> v4 under live traffic, each made by the producer
+//      once the live version has answered traffic, and each answering
+//      requests that were queued before it (no swap lands on a drained
+//      fleet), so every version takes traffic. Zero
+//      cross-model mixed micro-batches; no request rejected; every
+//      response tagged with (model_id, version, backend); each (model,
+//      version)'s intervention/assumption counters BITWISE equal to a
+//      sequential replay of exactly the scenes that pair served;
+//      per-model slices equal to the sum of that model's version slices;
+//      global interventions and hits equal to the sum of the version
+//      slices.
 //
 // Env knobs: SAFENN_MM_SCENES (default 6000), SAFENN_MM_PERF_SCENES
 // (default 3000), SAFENN_MM_WIDTH (default 24), SAFENN_MM_WORKERS
@@ -31,7 +41,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <map>
 #include <sstream>
@@ -46,7 +55,6 @@
 #include "highway/safety_rules.hpp"
 #include "registry/registry.hpp"
 #include "serve/multi_model.hpp"
-#include "serve/worker_pool.hpp"
 
 using namespace safenn;
 
@@ -108,16 +116,37 @@ std::string canonical_text(const registry::ModelArtifact& artifact) {
   return os.str();
 }
 
-double best_rps(std::size_t trials, std::size_t scenes_per_trial,
-                const std::function<double(std::size_t)>& run_trial) {
-  double best = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    const double seconds = run_trial(t);
-    const double rps =
-        static_cast<double>(scenes_per_trial) / std::max(seconds, 1e-9);
-    best = std::max(best, rps);
+struct ScalePoint {
+  std::size_t workers = 0;
+  double throughput_rps = 0.0;
+  double speedup = 1.0;
+  double p99_total_ms = 0.0;
+  double mean_batch = 0.0;
+  std::uint64_t interventions = 0;
+};
+
+serve::MultiModelConfig fleet_config(std::size_t workers) {
+  serve::MultiModelConfig cfg;
+  cfg.queue_capacity = 256;
+  cfg.admission_budget = 512;
+  cfg.pool.workers = workers;
+  cfg.pool.max_batch = 16;
+  return cfg;
+}
+
+/// Serves the first `n` scenes through `server` with blocking submits,
+/// round-robin over its models; returns requests per second from the
+/// first submit to the last answer.
+double replay_rps(serve::MultiModelServer& server,
+                  const std::vector<linalg::Vector>& scenes, std::size_t n) {
+  const std::vector<std::string> ids = server.model_ids();
+  std::vector<std::future<serve::ServeResponse>> futures(n);
+  Stopwatch clock;
+  for (std::size_t i = 0; i < n; ++i) {
+    futures[i] = server.submit_blocking(ids[i % ids.size()], scenes[i]);
   }
-  return best;
+  for (auto& f : futures) f.wait();
+  return static_cast<double>(n) / std::max(clock.seconds(), 1e-9);
 }
 
 }  // namespace
@@ -164,7 +193,8 @@ int main(int argc, char** argv) {
   // Unique version labels per (model, version) pair, so the server's
   // version slices ARE the per-(model, version) slices.
   const std::vector<std::pair<std::string, std::size_t>> chain = {
-      {"alpha-v1", 0}, {"beta-v1", 1}, {"beta-v2", 2}};
+      {"alpha-v1", 0}, {"beta-v1", 1}, {"beta-v2", 2}, {"beta-v3", 3},
+      {"beta-v4", 4}};
   const std::string dir_plain = dir + "_plain";
   const std::string dir_packed = dir + "_packed";
   std::filesystem::remove_all(dir_plain);
@@ -203,47 +233,24 @@ int main(int argc, char** argv) {
     served.emplace(version, std::move(loaded));
   }
 
-  // ---- Phase 2: routed 2-model throughput vs single-model baseline. ----
+  // ---- Phase 2: routed 2-model throughput vs a one-entry fleet. ----
   // Both at 1 worker, same total request count, same network shapes:
   // the delta is routing + sharded-queue overhead, nothing else.
-  const auto run_single = [&](std::size_t) {
-    serve::InferenceServer::Config cfg;
-    cfg.queue_capacity = 256;
-    cfg.pool.workers = 1;
-    cfg.pool.max_batch = 16;
-    serve::InferenceServer server(served.at("alpha-v1"), cfg);
-    std::vector<std::future<serve::ServeResponse>> futures(n_perf);
-    Stopwatch clock;
-    for (std::size_t i = 0; i < n_perf; ++i) {
-      futures[i] = server.submit_blocking(scenes[i]);
-    }
-    for (auto& f : futures) f.wait();
-    const double seconds = clock.seconds();
+  const std::vector<serve::ModelEntry> single_fleet = {
+      {"alpha", served.at("alpha-v1")}};
+  const std::vector<serve::ModelEntry> routed_fleet = {
+      {"alpha", served.at("alpha-v1")}, {"beta", served.at("beta-v1")}};
+  const auto trial_rps = [&](const std::vector<serve::ModelEntry>& fleet) {
+    serve::MultiModelServer server(fleet, fleet_config(1));
+    const double rps = replay_rps(server, scenes, n_perf);
     server.stop();
-    return seconds;
+    return rps;
   };
-  const auto run_routed = [&](std::size_t) {
-    serve::MultiModelConfig cfg;
-    cfg.queue_capacity = 256;
-    cfg.admission_budget = 512;
-    cfg.pool.workers = 1;
-    cfg.pool.max_batch = 16;
-    serve::MultiModelServer server(
-        {{"alpha", served.at("alpha-v1")}, {"beta", served.at("beta-v1")}},
-        cfg);
-    std::vector<std::future<serve::ServeResponse>> futures(n_perf);
-    Stopwatch clock;
-    for (std::size_t i = 0; i < n_perf; ++i) {
-      futures[i] =
-          server.submit_blocking(i % 2 == 0 ? "alpha" : "beta", scenes[i]);
-    }
-    for (auto& f : futures) f.wait();
-    const double seconds = clock.seconds();
-    server.stop();
-    return seconds;
-  };
-  const double baseline_rps = best_rps(trials, n_perf, run_single);
-  const double routed_rps = best_rps(trials, n_perf, run_routed);
+  double baseline_rps = 0.0, routed_rps = 0.0;
+  for (std::size_t t = 0; t < trials; ++t) {
+    baseline_rps = std::max(baseline_rps, trial_rps(single_fleet));
+    routed_rps = std::max(routed_rps, trial_rps(routed_fleet));
+  }
   const double overhead =
       baseline_rps <= 0.0 ? 1.0 : 1.0 - routed_rps / baseline_rps;
   const bool perf_ok = overhead <= 0.10;
@@ -252,33 +259,71 @@ int main(int argc, char** argv) {
               baseline_rps, routed_rps, overhead * 100.0,
               perf_ok ? "within 10%" : "TOO SLOW");
 
-  // ---- Phase 3: determinism under routing + stealing + hot swap. ----
-  serve::MultiModelConfig cfg;
-  cfg.queue_capacity = 256;
-  cfg.admission_budget = 512;
-  cfg.pool.workers = workers;
-  cfg.pool.max_batch = 16;
-  serve::MultiModelServer server(
-      {{"alpha", served.at("alpha-v1")}, {"beta", served.at("beta-v1")}},
-      cfg);
+  // ---- Phase 3: one-entry fleet at 1/2/4 workers vs sequential replay. --
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  std::uint64_t seq_interventions = 0;
+  {
+    const registry::ModelArtifact& alpha = served.at("alpha-v1");
+    core::SafetyMonitor sequential(alpha.monitor.region,
+                                   alpha.monitor.lateral_threshold);
+    const core::TrainedPredictor predictor = alpha.predictor();
+    for (std::size_t i = 0; i < n_perf; ++i) {
+      sequential.guard(predictor, scenes[i]);
+    }
+    seq_interventions = sequential.stats().interventions;
+  }
+  std::vector<ScalePoint> sweep;
+  bool sweep_ok = seq_interventions > 0;
+  for (std::size_t w = 1; w <= (smoke ? 2u : 4u); w *= 2) {
+    serve::MultiModelServer server(single_fleet, fleet_config(w));
+    ScalePoint p;
+    p.workers = w;
+    p.throughput_rps = replay_rps(server, scenes, n_perf);
+    server.stop();
+    p.speedup = sweep.empty() ? 1.0
+                              : p.throughput_rps / sweep.front().throughput_rps;
+    p.p99_total_ms = server.metrics().total_latency.percentile_ns(0.99) / 1e6;
+    p.mean_batch = server.metrics().mean_batch_size();
+    p.interventions = server.metrics().interventions.load();
+    sweep_ok = sweep_ok && p.interventions == seq_interventions;
+    std::printf("workers=%zu  %8.0f req/s  speedup %.2fx  p99 %.3fms  "
+                "mean batch %.1f  interventions %llu (replay %llu, %s)\n",
+                p.workers, p.throughput_rps, p.speedup, p.p99_total_ms,
+                p.mean_batch, static_cast<unsigned long long>(p.interventions),
+                static_cast<unsigned long long>(seq_interventions),
+                p.interventions == seq_interventions ? "match" : "MISMATCH");
+    sweep.push_back(p);
+  }
 
+  // ---- Phase 4: determinism under routing + stealing + hot swaps. ----
+  serve::MultiModelServer server(routed_fleet, fleet_config(workers));
   const auto model_for = [](std::size_t i) {
     return i % 2 == 0 ? "alpha" : "beta";
   };
+  // Beta swaps v1 -> v2 -> v3 -> v4 under live traffic, one swap per
+  // chunk of the stream, made by the producer in the middle of the chunk
+  // right after a submit, so it lands on the requests still queued from
+  // the stream; the new version must answer some of them (checked
+  // below), so no swap lands on a drained fleet. After each swap, and at
+  // the start, the producer waits for the answer to the first beta
+  // request it sends, so every version serves traffic.
+  const std::vector<std::string> swaps = {"beta-v2", "beta-v3", "beta-v4"};
+  const std::size_t chunk =
+      std::max<std::size_t>(1, n_scenes / (swaps.size() + 1));
+  std::vector<std::size_t> swap_at;  // requests sent before each swap
   std::vector<std::future<serve::ServeResponse>> futures(n_scenes);
   Stopwatch clock;
-  std::thread producer([&] {
-    for (std::size_t i = 0; i < n_scenes; ++i) {
-      futures[i] = server.submit_blocking(model_for(i), scenes[i]);
+  std::size_t first_beta = 1;  // beta takes the odd indices
+  for (std::size_t i = 0; i < n_scenes; ++i) {
+    futures[i] = server.submit_blocking(model_for(i), scenes[i]);
+    if (i == first_beta) futures[i].wait();
+    const std::size_t k = swap_at.size();
+    if (k < swaps.size() && i == k * chunk + chunk / 2) {
+      swap_at.push_back(i + 1);
+      server.reload("beta", served.at(swaps[k]));
+      first_beta = (i + 1) | 1;
     }
-  });
-  // One mid-run hot swap of beta only, paced on the completion counter so
-  // it lands under sustained load.
-  while (server.metrics().completed() < n_scenes / 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  server.reload("beta", served.at("beta-v2"));
-  producer.join();
   for (auto& f : futures) f.wait();
   const double det_seconds = clock.seconds();
 
@@ -287,6 +332,8 @@ int main(int argc, char** argv) {
   std::size_t rejected = 0, untagged = 0;
   std::map<std::pair<std::string, std::string>, std::vector<std::size_t>>
       by_pair;
+  // carried[k]: beta requests sent before swap k that its version answered.
+  std::vector<std::size_t> carried(swaps.size(), 0);
   for (std::size_t i = 0; i < n_scenes; ++i) {
     const serve::ServeResponse r = futures[i].get();
     if (r.outcome == serve::ServeOutcome::kRejected) {
@@ -295,6 +342,15 @@ int main(int argc, char** argv) {
     }
     if (r.model_id != model_for(i) || r.model_version.empty()) ++untagged;
     by_pair[{r.model_id, r.model_version}].push_back(i);
+    for (std::size_t k = 0; k < swap_at.size(); ++k) {
+      if (i < swap_at[k] && r.model_version == swaps[k]) ++carried[k];
+    }
+  }
+  bool under_load_ok = swap_at.size() == swaps.size();
+  for (std::size_t k = 0; k < swap_at.size(); ++k) {
+    under_load_ok = under_load_ok && carried[k] > 0;
+    std::printf("swap %zu -> %-8s answered %3zu beta requests sent before "
+                "it\n", k + 1, swaps[k].c_str(), carried[k]);
   }
   const bool tagging_ok = rejected == 0 && untagged == 0 &&
                           server.metrics().completed() == n_scenes;
@@ -306,7 +362,7 @@ int main(int argc, char** argv) {
   bool replay_ok = true;
   std::map<std::string, std::uint64_t> model_interventions, model_hits,
       model_completed;
-  std::uint64_t total_interventions = 0;
+  std::uint64_t total_interventions = 0, total_hits = 0;
   for (const auto& [key, indices] : by_pair) {
     const auto& [model_id, version] = key;
     PairReport report;
@@ -332,6 +388,7 @@ int main(int argc, char** argv) {
     model_hits[model_id] += report.replay_assumption_hits;
     model_completed[model_id] += report.requests;
     total_interventions += report.interventions;
+    total_hits += report.assumption_hits;
     std::printf("%-5s %-9s  %5zu req  interventions %5llu (replay %5llu)  "
                 "hits %5llu (replay %5llu)  %s\n",
                 model_id.c_str(), version.c_str(), report.requests,
@@ -343,7 +400,7 @@ int main(int argc, char** argv) {
                 report.match ? "match" : "MISMATCH");
     pairs.push_back(report);
   }
-  // All three versions took traffic, beta actually swapped mid-run.
+  // Every version took traffic; beta actually swapped to its last one.
   bool coverage_ok = by_pair.size() == chain.size();
   for (const auto& [version, variant] : chain) {
     (void)variant;
@@ -353,9 +410,15 @@ int main(int argc, char** argv) {
     }
     coverage_ok = coverage_ok && found;
   }
-  coverage_ok = coverage_ok && server.metrics().reloads.load() == 1 &&
-                server.version("beta") == "beta-v2" &&
+  coverage_ok = coverage_ok &&
+                server.metrics().reloads.load() == swaps.size() &&
+                server.version("beta") == swaps.back() &&
                 total_interventions > 0;
+  // Shield continuity: the global counters are the sum of the version
+  // slices, across every swap.
+  const bool global_sums_ok =
+      server.metrics().interventions.load() == total_interventions &&
+      server.metrics().assumption_hits.load() == total_hits;
   // Per-model slices must equal the sum of that model's version replays.
   bool model_slices_ok = true;
   for (const auto& [model_id, interventions] : model_interventions) {
@@ -368,15 +431,20 @@ int main(int argc, char** argv) {
   }
   server.stop();
 
-  const bool determinism_ok =
-      tagging_ok && mixed == 0 && replay_ok && coverage_ok && model_slices_ok;
-  const bool pass = compression_ok && perf_ok && determinism_ok;
+  const bool determinism_ok = tagging_ok && mixed == 0 && replay_ok &&
+                              coverage_ok && under_load_ok &&
+                              model_slices_ok && global_sums_ok;
+  const bool pass = compression_ok && perf_ok && sweep_ok && determinism_ok;
   const double det_rps = static_cast<double>(n_scenes) / det_seconds;
-  std::printf("# determinism @%zu workers, %.0f rps: mixed_batches=%llu, "
-              "tagging %s, replay %s, model slices %s => %s\n",
-              workers, det_rps, static_cast<unsigned long long>(mixed),
+  std::printf("# determinism @%zu workers, %zu swaps, %.0f rps: "
+              "mixed_batches=%llu, tagging %s, replay %s, coverage %s, "
+              "swaps under load %s, model slices %s, global sums %s => %s\n",
+              workers, swaps.size(), det_rps,
+              static_cast<unsigned long long>(mixed),
               tagging_ok ? "ok" : "BROKEN", replay_ok ? "exact" : "BROKEN",
-              model_slices_ok ? "exact" : "BROKEN", pass ? "PASS" : "FAIL");
+              coverage_ok ? "ok" : "BROKEN", under_load_ok ? "ok" : "BROKEN",
+              model_slices_ok ? "exact" : "BROKEN",
+              global_sums_ok ? "exact" : "BROKEN", pass ? "PASS" : "FAIL");
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"multimodel_serve\",\n"
@@ -384,6 +452,7 @@ int main(int argc, char** argv) {
        << "  \"scenes\": " << n_scenes << ",\n"
        << "  \"perf_scenes\": " << n_perf << ",\n"
        << "  \"workers\": " << workers << ",\n"
+       << "  \"hardware_threads\": " << hw << ",\n"
        << "  \"compression\": [\n";
   for (std::size_t i = 0; i < compression.size(); ++i) {
     const CompressionReport& c = compression[i];
@@ -401,6 +470,26 @@ int main(int argc, char** argv) {
        << "  \"routed_rps_1w\": " << routed_rps << ",\n"
        << "  \"routing_overhead_frac\": " << overhead << ",\n"
        << "  \"perf_ok\": " << (perf_ok ? "true" : "false") << ",\n"
+       << "  \"sequential_interventions\": " << seq_interventions << ",\n"
+       << "  \"scaling\": [\n";
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const ScalePoint& p = sweep[i];
+    json << "    {\"workers\": " << p.workers
+         << ", \"throughput_rps\": " << p.throughput_rps
+         << ", \"speedup\": " << p.speedup
+         << ", \"p99_total_ms\": " << p.p99_total_ms
+         << ", \"mean_batch_size\": " << p.mean_batch
+         << ", \"interventions\": " << p.interventions << "}"
+         << (i + 1 < sweep.size() ? ",\n" : "\n");
+  }
+  json << "  ],\n"
+       << "  \"sweep_ok\": " << (sweep_ok ? "true" : "false") << ",\n"
+       << "  \"swaps\": " << swaps.size() << ",\n"
+       << "  \"swap_carried\": [";
+  for (std::size_t k = 0; k < carried.size(); ++k) {
+    json << (k > 0 ? ", " : "") << carried[k];
+  }
+  json << "],\n"
        << "  \"det_throughput_rps\": " << det_rps << ",\n"
        << "  \"mixed_batches\": " << mixed << ",\n"
        << "  \"rejected\": " << rejected << ",\n"

@@ -38,7 +38,7 @@
 #include "common/stopwatch.hpp"
 #include "highway/safety_rules.hpp"
 #include "nn/qengine.hpp"
-#include "serve/worker_pool.hpp"
+#include "serve/multi_model.hpp"
 #include "smt/qnn_encoder.hpp"
 
 using namespace safenn;
@@ -202,16 +202,17 @@ int main(int argc, char** argv) {
               scenes.size());
 
   // -- 2. Serve with hot swaps: quantized -> float -> quantized. ----------
-  serve::InferenceServer::Config cfg;
+  serve::MultiModelConfig cfg;
   cfg.queue_capacity = 256;
   cfg.pool.workers = 2;
   cfg.pool.max_batch = kBatch;
   cfg.backend = linalg::KernelBackend::kQuantized;
-  serve::InferenceServer server(quant_artifact, cfg);
+  // One model, served as a one-entry fleet.
+  serve::MultiModelServer server({{"model", quant_artifact}}, cfg);
   const bool admitted =
-      server.backend() == linalg::KernelBackend::kQuantized;
+      server.backend("model") == linalg::KernelBackend::kQuantized;
   std::printf("# serving backend: %s\n",
-              linalg::to_string(server.backend()).c_str());
+              linalg::to_string(server.backend("model")).c_str());
 
   // Three traffic phases with a hot swap between each: quantized ->
   // float -> quantized. Swaps happen while the previous phase's backlog
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
   const auto submit_range = [&](std::size_t lo, std::size_t hi) {
     std::thread producer([&, lo, hi] {
       for (std::size_t i = lo; i < hi; ++i) {
-        futures[i] = server.submit_blocking(scenes[i]);
+        futures[i] = server.submit_blocking("model", scenes[i]);
       }
     });
     producer.join();
@@ -233,10 +234,10 @@ int main(int argc, char** argv) {
   };
   submit_range(0, n_scenes / 3);
   wait_completed(n_scenes / 3);
-  server.reload(float_artifact);
+  server.reload("model", float_artifact);
   submit_range(n_scenes / 3, 2 * n_scenes / 3);
   wait_completed(2 * n_scenes / 3);
-  server.reload(quant_artifact);
+  server.reload("model", quant_artifact);
   submit_range(2 * n_scenes / 3, n_scenes);
   server.stop();
   const double serve_seconds = serve_clock.seconds();

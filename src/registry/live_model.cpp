@@ -4,31 +4,14 @@
 
 namespace safenn::registry {
 
-ModelSnapshot::ModelSnapshot(std::string version,
-                             const core::TrainedPredictor& predictor,
-                             const core::SafetyMonitor& monitor,
-                             linalg::KernelBackend backend)
-    : version_(std::move(version)),
-      backend_(backend),
-      predictor_(&predictor),
-      monitor_(&monitor) {
-  require(!version_.empty(), "ModelSnapshot: empty version label");
-}
-
 ModelSnapshot::ModelSnapshot(const ModelArtifact& artifact,
                              linalg::KernelBackend backend,
                              linalg::KernelBackend quantized_kernel)
     : version_(artifact.version),
       backend_(backend),
       content_hash_(artifact.content_hash),
-      owned_predictor_(std::make_unique<core::TrainedPredictor>(
-          artifact.predictor())),
-      // In-place construction: SafetyMonitor's atomic counters make it
-      // immovable.
-      owned_monitor_(std::make_unique<core::SafetyMonitor>(
-          artifact.monitor.region, artifact.monitor.lateral_threshold)),
-      predictor_(owned_predictor_.get()),
-      monitor_(owned_monitor_.get()) {
+      predictor_(artifact.predictor()),
+      monitor_(artifact.monitor.region, artifact.monitor.lateral_threshold) {
   require(!version_.empty(), "ModelSnapshot: artifact has no version");
   if (backend_ == linalg::KernelBackend::kQuantized) {
     require(artifact.quantized.has_value(),

@@ -11,8 +11,8 @@
 // Shield continuity across swaps lives one level up: the serving
 // MetricsRegistry's outcome/intervention counters are global and
 // monotone across any number of swaps (plus per-version, so each model's
-// slice is separately auditable) — bench_model_reload asserts the totals
-// against a sequential per-version replay.
+// slice is separately auditable) — bench_multimodel_serve asserts the
+// totals against a sequential per-version replay.
 #pragma once
 
 #include <atomic>
@@ -29,26 +29,19 @@ namespace safenn::registry {
 
 /// An immutable (predictor, monitor, kernel backend) triple under a
 /// version label — everything a worker needs to serve one micro-batch.
-/// Snapshots either own their model (built from an artifact at reload)
-/// or wrap externally owned objects (the legacy construction path where
-/// the caller shares its monitor for offline-comparable stats).
+/// Materialized from a registry artifact, and owns everything it serves.
 class ModelSnapshot {
  public:
-  /// Wraps externally owned predictor/monitor (both must outlive the
-  /// snapshot — the InferenceServer reference constructor path).
-  ModelSnapshot(std::string version,
-                const core::TrainedPredictor& predictor,
-                const core::SafetyMonitor& monitor,
-                linalg::KernelBackend backend);
-
   /// Materializes and owns the artifact's predictor and monitor. The
-  /// caller chooses the backend (serve runs its admission gate per
-  /// artifact before constructing the snapshot). With backend ==
+  /// caller chooses the backend (serve::admit_snapshot runs the admission
+  /// gate per artifact and constructs the snapshot). With backend ==
   /// kQuantized, the artifact must carry a quantized payload; the packed
-  /// engine is built once here and shared (it is immutable) by every
-  /// batch served against this snapshot. `quantized_kernel` then picks
-  /// the integer kernel inside the engine — kReference for the scalar
-  /// reference, anything else for the SIMD dispatch; all bitwise equal.
+  /// engine is built once here (throwing nn::QuantizeError if the payload
+  /// fails the packing admission analysis) and shared (it is immutable)
+  /// by every batch served against this snapshot. `quantized_kernel` then
+  /// picks the integer kernel inside the engine — kReference for the
+  /// scalar reference, anything else for the SIMD dispatch; all bitwise
+  /// equal.
   ModelSnapshot(const ModelArtifact& artifact, linalg::KernelBackend backend,
                 linalg::KernelBackend quantized_kernel =
                     linalg::KernelBackend::kQuantized);
@@ -57,10 +50,10 @@ class ModelSnapshot {
   ModelSnapshot& operator=(const ModelSnapshot&) = delete;
 
   const std::string& version() const { return version_; }
-  const core::TrainedPredictor& predictor() const { return *predictor_; }
-  const core::SafetyMonitor& monitor() const { return *monitor_; }
+  const core::TrainedPredictor& predictor() const { return predictor_; }
+  const core::SafetyMonitor& monitor() const { return monitor_; }
   linalg::KernelBackend backend() const { return backend_; }
-  /// Artifact content hash; 0 for wrapped (unregistered) models.
+  /// Content hash of the artifact this snapshot was built from.
   std::uint64_t content_hash() const { return content_hash_; }
   /// Content address of the quantized weights; 0 when not quantized.
   std::uint64_t quantized_hash() const { return quantized_hash_; }
@@ -72,13 +65,11 @@ class ModelSnapshot {
  private:
   std::string version_;
   linalg::KernelBackend backend_;
-  std::uint64_t content_hash_ = 0;
+  std::uint64_t content_hash_;
   std::uint64_t quantized_hash_ = 0;
-  std::unique_ptr<core::TrainedPredictor> owned_predictor_;
-  std::unique_ptr<core::SafetyMonitor> owned_monitor_;
+  core::TrainedPredictor predictor_;
+  core::SafetyMonitor monitor_;
   std::unique_ptr<const nn::QuantizedEngine> quantized_engine_;
-  const core::TrainedPredictor* predictor_;
-  const core::SafetyMonitor* monitor_;
 };
 
 /// The swap slot itself. `current()` copies the published shared_ptr

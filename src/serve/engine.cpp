@@ -15,129 +15,113 @@ double seconds_since(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
 }
 
-}  // namespace
-
-linalg::KernelBackend resolve_serving_backend(
-    const core::TrainedPredictor& predictor,
-    linalg::KernelBackend requested, std::size_t max_batch) {
-  return resolve_serving_backend(predictor.network, requested, max_batch);
+/// (batch, in, out) per layer: the exact GEMM shapes `net` runs at this
+/// batch size, pinned on top of a kernel harness's randomized sweep.
+/// Float networks and quantized payloads expose the same layer shape API.
+template <typename Shape, typename Net>
+std::vector<Shape> pinned_shapes(const Net& net, std::size_t batch) {
+  std::vector<Shape> shapes;
+  for (std::size_t li = 0; li < net.num_layers(); ++li) {
+    shapes.push_back(
+        {batch, net.layer(li).in_size(), net.layer(li).out_size()});
+  }
+  return shapes;
 }
 
-linalg::KernelBackend resolve_serving_backend(
-    const nn::Network& net, linalg::KernelBackend requested,
-    std::size_t max_batch) {
-  if (requested != linalg::KernelBackend::kSimd) return requested;
-  // Pin the exact (batch, in, out) GEMM shapes this network will run,
-  // on top of the harness's randomized + awkward shape sweep.
+bool simd_admitted(const nn::Network& net, std::size_t batch) {
   linalg::KernelVerifyConfig config;
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    const nn::DenseLayer& layer = net.layer(li);
-    config.extra_shapes.push_back(
-        {max_batch == 0 ? 1 : max_batch, layer.in_size(), layer.out_size()});
-  }
+  config.extra_shapes = pinned_shapes<linalg::GemmShape>(net, batch);
   const linalg::KernelReport report =
-      linalg::verify_kernel_backend(requested, config);
+      linalg::verify_kernel_backend(linalg::KernelBackend::kSimd, config);
   if (report.pass) {
     log_info("serve: simd kernel backend admitted (",
              linalg::to_string(report.isa), ", worst rms ", report.worst_rms,
              " <= tolerance ", report.worst_tolerance, ")");
-    return requested;
+    return true;
   }
   log_warn("serve: simd kernel backend REJECTED by tolerance harness (",
            report.summary(), "); falling back to reference kernels");
+  return false;
+}
+
+/// The integer kernel the packed engine may run: the SIMD dispatch when
+/// it is bitwise equal to the scalar reference on the payload's shapes.
+/// Integer kernels carry no tolerance: any violation demotes only the
+/// inner kernel to the scalar reference, which IS the verified semantics
+/// — the quantized backend itself stays admitted.
+linalg::KernelBackend quantized_kernel(const nn::QuantizedNetwork& qnet,
+                                       std::size_t batch) {
+  linalg::QuantKernelVerifyConfig config;
+  config.extra_shapes = pinned_shapes<linalg::QuantShape>(qnet, batch);
+  const linalg::QuantKernelReport report =
+      linalg::verify_quantized_kernels(config);
+  if (report.pass) {
+    log_info("serve: quantized SIMD kernels (", linalg::to_string(report.isa),
+             ") bitwise equal to the scalar integer reference over ",
+             report.checks.size(), " shapes");
+    return linalg::KernelBackend::kQuantized;
+  }
+  log_warn("serve: quantized SIMD kernels REJECTED by bitwise harness (",
+           report.summary(), "); serving the scalar integer kernels");
   return linalg::KernelBackend::kReference;
 }
 
-ResolvedBackend resolve_serving_backend(
+}  // namespace
+
+std::shared_ptr<const registry::ModelSnapshot> admit_snapshot(
     const registry::ModelArtifact& artifact, linalg::KernelBackend requested,
     std::size_t max_batch) {
-  if (requested != linalg::KernelBackend::kQuantized) {
-    return {resolve_serving_backend(artifact.network, requested, max_batch)};
+  using linalg::KernelBackend;
+  const std::size_t batch = std::max<std::size_t>(1, max_batch);
+  KernelBackend backend = requested;
+  if (requested == KernelBackend::kSimd &&
+      !simd_admitted(artifact.network, batch)) {
+    backend = KernelBackend::kReference;
   }
-  if (!artifact.quantized.has_value()) {
-    log_warn("serve: kQuantized requested but artifact ", artifact.version,
-             " carries no quantized payload; serving float reference "
-             "kernels");
-    return {linalg::KernelBackend::kReference};
-  }
-  try {
-    // Probe-pack the payload: the same admission analysis (int16 weights,
-    // int32 activations, int64 accumulator bounds over the declared
-    // domain) the snapshot construction will run.
-    const nn::QuantizedEngine probe(artifact.quantized->network,
-                                    artifact.quantized->input_limit,
-                                    linalg::KernelBackend::kReference);
-    linalg::QuantKernelVerifyConfig config;
-    config.extra_shapes = probe.gemm_shapes(max_batch == 0 ? 1 : max_batch);
-    const linalg::QuantKernelReport report =
-        linalg::verify_quantized_kernels(config);
-    if (report.pass) {
-      log_info("serve: quantized engine admitted (",
-               linalg::to_string(report.isa),
-               " bitwise equal to the scalar integer reference over ",
-               report.checks.size(), " shapes)");
-      return {linalg::KernelBackend::kQuantized,
-              linalg::KernelBackend::kQuantized};
+  if (requested == KernelBackend::kQuantized) {
+    backend = KernelBackend::kReference;
+    if (!artifact.quantized.has_value()) {
+      log_warn("serve: kQuantized requested but artifact ", artifact.version,
+               " carries no quantized payload; serving float reference "
+               "kernels");
+    } else {
+      try {
+        // The snapshot packs the engine — the one pack of this admission,
+        // which runs the overflow analysis over the declared domain.
+        return std::make_shared<const registry::ModelSnapshot>(
+            artifact, KernelBackend::kQuantized,
+            quantized_kernel(artifact.quantized->network, batch));
+      } catch (const nn::QuantizeError& e) {
+        log_warn("serve: quantized payload of artifact ", artifact.version,
+                 " failed packing admission (", e.what(),
+                 "); serving float reference kernels");
+      }
     }
-    // Integer kernels carry no tolerance: any bitwise violation demotes
-    // the inner kernel to the scalar reference, which IS the verified
-    // semantics — the quantized backend itself stays admitted.
-    log_warn("serve: quantized SIMD kernels REJECTED by bitwise harness (",
-             report.summary(), "); serving the scalar integer kernels");
-    return {linalg::KernelBackend::kQuantized,
-            linalg::KernelBackend::kReference};
-  } catch (const nn::QuantizeError& e) {
-    log_warn("serve: quantized payload of artifact ", artifact.version,
-             " failed packing admission (", e.what(),
-             "); serving float reference kernels");
-    return {linalg::KernelBackend::kReference};
   }
-}
-
-ShieldedEngine::ShieldedEngine(const core::TrainedPredictor& predictor,
-                               const core::SafetyMonitor& monitor,
-                               linalg::KernelBackend backend,
-                               std::string version)
-    : predictor_(predictor),
-      monitor_(monitor),
-      backend_(backend),
-      version_(std::move(version)) {
-  require(backend_ != linalg::KernelBackend::kQuantized,
-          "ShieldedEngine: kQuantized requires a snapshot carrying a "
-          "packed quantized engine");
-}
-
-ShieldedEngine::ShieldedEngine(const registry::ModelSnapshot& snapshot)
-    : predictor_(snapshot.predictor()),
-      monitor_(snapshot.monitor()),
-      backend_(snapshot.backend()),
-      version_(snapshot.version()),
-      qengine_(snapshot.quantized_engine()) {
-  require(backend_ != linalg::KernelBackend::kQuantized ||
-              qengine_ != nullptr,
-          "ShieldedEngine: kQuantized snapshot has no packed engine");
+  return std::make_shared<const registry::ModelSnapshot>(artifact, backend);
 }
 
 void ShieldedEngine::predict_means(const linalg::Matrix& scenes,
                                    std::vector<linalg::Vector>& means) const {
   means.resize(scenes.rows());
-  if (qengine_ != nullptr) {
+  const core::TrainedPredictor& predictor = snapshot_.predictor();
+  if (const nn::QuantizedEngine* qengine = snapshot_.quantized_engine()) {
     // Exact integer path: saturating quantize -> packed fixed-point
     // forward (bitwise equal to the scalar QuantizedNetwork reference)
     // -> de-quantize -> the same MDN head parse the float path uses.
     nn::QuantizedEngine::Scratch scratch;
     linalg::Matrix raw;
-    qengine_->forward_real_batch(scenes, scratch, raw);
+    qengine->forward_real_batch(scenes, scratch, raw);
     linalg::Vector row(raw.cols());
     for (std::size_t r = 0; r < scenes.rows(); ++r) {
       std::copy(raw.data() + r * raw.cols(),
                 raw.data() + (r + 1) * raw.cols(), row.data());
-      means[r] = predictor_.head.parse(row).mean();
+      means[r] = predictor.head.parse(row).mean();
     }
     return;
   }
   const std::vector<nn::GaussianMixture> mixtures =
-      predictor_.predict_batch(scenes, backend_);
+      predictor.predict_batch(scenes, snapshot_.backend());
   for (std::size_t r = 0; r < scenes.rows(); ++r) {
     means[r] = mixtures[r].mean();
   }
@@ -145,21 +129,22 @@ void ShieldedEngine::predict_means(const linalg::Matrix& scenes,
 
 ServeResponse ShieldedEngine::serve(const ServeRequest& request,
                                     Clock::time_point now) const {
+  const core::SafetyMonitor& monitor = snapshot_.monitor();
   ServeResponse response;
   response.id = request.id;
   response.model_id = request.model_id;
-  response.model_version = version_;
-  response.backend = backend_;
+  response.model_version = snapshot_.version();
+  response.backend = snapshot_.backend();
   if (now > request.deadline) {
     // Bounded-latency fallback: the deadline is already blown, so answer
     // with the provably safe action instead of a late prediction.
     response.outcome = ServeOutcome::kDegraded;
-    response.action = monitor_.safe_action();
+    response.action = monitor.safe_action();
     return response;
   }
   const Clock::time_point start = Clock::now();
   core::GuardDecision decision;
-  if (qengine_ != nullptr) {
+  if (snapshot_.quantized_engine() != nullptr) {
     // Single-request quantized serve is the batched path at batch 1 —
     // same arithmetic, same bits, as serve_batch demands.
     linalg::Matrix scene(1, request.scene.size());
@@ -167,9 +152,9 @@ ServeResponse ShieldedEngine::serve(const ServeRequest& request,
               request.scene.data() + request.scene.size(), scene.data());
     std::vector<linalg::Vector> means;
     predict_means(scene, means);
-    decision = monitor_.guard_action(request.scene, means.front());
+    decision = monitor.guard_action(request.scene, means.front());
   } else {
-    decision = monitor_.guard(predictor_, request.scene);
+    decision = monitor.guard(snapshot_.predictor(), request.scene);
   }
   response.infer_seconds = seconds_since(start, Clock::now());
   response.outcome =
@@ -182,6 +167,7 @@ ServeResponse ShieldedEngine::serve(const ServeRequest& request,
 
 std::vector<ServeResponse> ShieldedEngine::serve_batch(
     const std::vector<ServeRequest>& requests, Clock::time_point now) const {
+  const core::SafetyMonitor& monitor = snapshot_.monitor();
   std::vector<ServeResponse> responses(requests.size());
   // Deadline triage first: expired requests get the safe fallback and
   // never touch the predictor (same policy as serve()).
@@ -190,11 +176,11 @@ std::vector<ServeResponse> ShieldedEngine::serve_batch(
   for (std::size_t i = 0; i < requests.size(); ++i) {
     responses[i].id = requests[i].id;
     responses[i].model_id = requests[i].model_id;
-    responses[i].model_version = version_;
-    responses[i].backend = backend_;
+    responses[i].model_version = snapshot_.version();
+    responses[i].backend = snapshot_.backend();
     if (now > requests[i].deadline) {
       responses[i].outcome = ServeOutcome::kDegraded;
-      responses[i].action = monitor_.safe_action();
+      responses[i].action = monitor.safe_action();
     } else {
       live.push_back(i);
     }
@@ -214,7 +200,7 @@ std::vector<ServeResponse> ShieldedEngine::serve_batch(
   for (std::size_t r = 0; r < live.size(); ++r) {
     const std::size_t i = live[r];
     core::GuardDecision decision =
-        monitor_.guard_action(requests[i].scene, means[r]);
+        monitor.guard_action(requests[i].scene, means[r]);
     ServeResponse& response = responses[i];
     response.outcome =
         decision.intervened ? ServeOutcome::kClamped : ServeOutcome::kServed;

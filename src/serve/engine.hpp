@@ -15,72 +15,49 @@
 // it started with while the next pop sees the swapped-in model.
 #pragma once
 
-#include "core/monitor.hpp"
+#include <memory>
+
 #include "linalg/kernels.hpp"
 #include "registry/live_model.hpp"
 #include "serve/request_queue.hpp"
 
 namespace safenn::serve {
 
-/// Resolves the kernel backend a server should actually run: kReference
-/// passes through; kSimd is admitted only after the tolerance harness
-/// (linalg/verify_kernels.hpp) passes on this host with the network's
-/// own layer shapes pinned — on any violation the request degrades to
-/// kReference (logged), keeping the deployed artifact traceable to the
-/// verified reference kernels. Re-run on every hot reload: admission is
-/// per artifact, not per process.
-linalg::KernelBackend resolve_serving_backend(
-    const nn::Network& network, linalg::KernelBackend requested,
-    std::size_t max_batch);
-linalg::KernelBackend resolve_serving_backend(
-    const core::TrainedPredictor& predictor,
-    linalg::KernelBackend requested, std::size_t max_batch);
-
-/// Backend resolution for a registry artifact, including the quantized
-/// engine. `backend` is what the snapshot serves with; when it is
-/// kQuantized, `quantized_kernel` picks the integer kernel inside the
-/// packed engine (kQuantized = SIMD dispatch, kReference = scalar).
-struct ResolvedBackend {
-  linalg::KernelBackend backend;
-  linalg::KernelBackend quantized_kernel = linalg::KernelBackend::kQuantized;
-};
-
-/// Admission for kQuantized, per artifact (re-run on every hot reload):
-/// the artifact must carry a quantized payload, the payload must pass
-/// the packing admission analysis (int16 weights / int32 activations /
-/// int64 accumulator bounds over the declared input domain), and the
-/// integer SIMD kernels must be BITWISE equal to the scalar reference on
-/// this host with the engine's own (batch, in, out) GEMM shapes pinned —
-/// integer kernels carry no tolerance, unlike the float kSimd gate. A
-/// failed bitwise check demotes only the inner kernel to scalar (exact
-/// semantics preserved); a missing or unpackable payload falls back to
-/// float kReference with a warning. Other requested backends defer to
-/// the float overloads above.
-ResolvedBackend resolve_serving_backend(
+/// The admission gate: materializes `artifact` as a snapshot whose
+/// backend is what this host may actually serve with. Re-run on every
+/// hot reload — admission is per artifact, not per process.
+///   kReference passes through.
+///   kSimd is admitted only after the float tolerance harness
+///     (linalg/verify_kernels.hpp) passes with the network's own
+///     (max_batch, in, out) shapes pinned; on any violation it degrades
+///     to kReference (logged), keeping the deployed artifact traceable to
+///     the verified reference kernels.
+///   kQuantized needs a quantized payload that passes the packing
+///     admission analysis (int16 weights / int32 activations / int64
+///     accumulator bounds over the declared input domain); the engine is
+///     packed once, inside the snapshot. Its integer kernel is the SIMD
+///     dispatch only if those kernels are BITWISE equal to the scalar
+///     reference on this host with the engine's own shapes pinned —
+///     integer kernels carry no tolerance — and the scalar reference
+///     otherwise (exact semantics preserved). A missing or unpackable
+///     payload falls back to float kReference with a warning.
+/// The verdict is read off the result: backend(), and for kQuantized
+/// also quantized_engine()->kernel_backend().
+std::shared_ptr<const registry::ModelSnapshot> admit_snapshot(
     const registry::ModelArtifact& artifact, linalg::KernelBackend requested,
     std::size_t max_batch);
 
-/// Stateless per-call engine over a shared const predictor and a shared
-/// thread-safe monitor; safe to use from any number of workers. Cheap to
-/// construct (three references + a version label) — the worker pool
-/// builds one per micro-batch from the live snapshot.
+/// Stateless per-call engine: a view over one model snapshot, whose
+/// thread-safe monitor shields every prediction; safe to use from any
+/// number of workers. Cheap to construct — workers build one per
+/// micro-batch from the live snapshot. The snapshot must outlive the
+/// engine (the worker holds its shared_ptr for the batch's duration).
+/// Batched forwards run the snapshot's backend; single-request serve()
+/// runs the per-sample reference path for float backends.
 class ShieldedEngine {
  public:
-  /// `backend` selects the kernels for batched forward passes; single-
-  /// request serve() always runs the per-sample reference path. Callers
-  /// wanting the gate should pass resolve_serving_backend(...) here (the
-  /// InferenceServer facade does). `version` tags every response this
-  /// engine produces.
-  ShieldedEngine(const core::TrainedPredictor& predictor,
-                 const core::SafetyMonitor& monitor,
-                 linalg::KernelBackend backend =
-                     linalg::KernelBackend::kReference,
-                 std::string version = {});
-
-  /// Engine over a model snapshot (predictor, monitor, backend, version
-  /// all from the snapshot). The snapshot must outlive the engine — the
-  /// worker holds its shared_ptr for the batch's duration.
-  explicit ShieldedEngine(const registry::ModelSnapshot& snapshot);
+  explicit ShieldedEngine(const registry::ModelSnapshot& snapshot)
+      : snapshot_(snapshot) {}
 
   /// Serves one request at time `now`: deadline check, then guarded
   /// prediction. Fills everything except `queue_seconds` (the caller
@@ -99,26 +76,14 @@ class ShieldedEngine {
   std::vector<ServeResponse> serve_batch(
       const std::vector<ServeRequest>& requests, Clock::time_point now) const;
 
-  const core::SafetyMonitor& monitor() const { return monitor_; }
-  const core::TrainedPredictor& predictor() const { return predictor_; }
-  linalg::KernelBackend backend() const { return backend_; }
-  const std::string& version() const { return version_; }
-  /// The packed integer engine serving this snapshot; non-null iff
-  /// backend() == kQuantized.
-  const nn::QuantizedEngine* quantized_engine() const { return qengine_; }
-
  private:
   /// Mixture means for the packed scene rows, through whichever
-  /// arithmetic this engine serves (float predict_batch or the exact
+  /// arithmetic the snapshot serves (float predict_batch or the exact
   /// integer engine); fills `means` with one action mean per row.
   void predict_means(const linalg::Matrix& scenes,
                      std::vector<linalg::Vector>& means) const;
 
-  const core::TrainedPredictor& predictor_;
-  const core::SafetyMonitor& monitor_;
-  linalg::KernelBackend backend_;
-  std::string version_;
-  const nn::QuantizedEngine* qengine_ = nullptr;
+  const registry::ModelSnapshot& snapshot_;
 };
 
 }  // namespace safenn::serve

@@ -30,6 +30,31 @@ void json_histogram(std::ostringstream& os, const char* name,
      << ", \"p99_ms\": " << h.percentile_ns(0.99) / 1e6 << "}";
 }
 
+/// Writes `text` as a JSON string: slice labels are caller data (a
+/// version is any whitespace-free token, a model id any non-empty
+/// string), so quotes, backslashes and control characters are escaped.
+void json_string(std::ostringstream& os, const std::string& text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  os << '"';
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      os << '\\' << c;
+    } else if (byte < 0x20) {
+      os << "\\u00" << kHex[byte >> 4] << kHex[byte & 0xf];
+    } else {
+      os << c;
+    }
+  }
+  os << '"';
+}
+
+void note_peak(std::atomic<std::uint64_t>& peak, std::size_t depth) {
+  std::uint64_t seen = peak.load(kRelaxed);
+  while (depth > seen && !peak.compare_exchange_weak(seen, depth, kRelaxed)) {
+  }
+}
+
 }  // namespace
 
 void LatencyHistogram::record(std::uint64_t ns) {
@@ -73,40 +98,33 @@ std::uint64_t VersionCounters::completed() const {
 }
 
 void ModelMetrics::note_queue_depth(std::size_t depth) {
-  std::uint64_t seen = queue_depth_peak.load(kRelaxed);
-  while (depth > seen &&
-         !queue_depth_peak.compare_exchange_weak(seen, depth, kRelaxed)) {
-  }
+  note_peak(queue_depth_peak, depth);
 }
 
-VersionCounters& MetricsRegistry::version_counters(
-    const std::string& version) {
-  std::lock_guard<std::mutex> lock(versions_mu_);
-  std::unique_ptr<VersionCounters>& slot = versions_[version];
-  if (!slot) slot = std::make_unique<VersionCounters>();
-  return *slot;
-}
-
-VersionCounters& MetricsRegistry::backend_counters(
-    const std::string& backend) {
-  std::lock_guard<std::mutex> lock(backends_mu_);
-  std::unique_ptr<VersionCounters>& slot = backends_[backend];
-  if (!slot) slot = std::make_unique<VersionCounters>();
-  return *slot;
-}
-
-ModelMetrics& MetricsRegistry::model_metrics(const std::string& model_id) {
-  std::lock_guard<std::mutex> lock(models_mu_);
-  std::unique_ptr<ModelMetrics>& slot = models_[model_id];
+ModelMetrics& MetricsRegistry::slice(SliceKind kind,
+                                     const std::string& label) {
+  std::lock_guard<std::mutex> lock(slices_mu_);
+  std::unique_ptr<ModelMetrics>& slot = slices_[{kind, label}];
   if (!slot) slot = std::make_unique<ModelMetrics>();
   return *slot;
 }
 
+VersionCounters& MetricsRegistry::version_counters(
+    const std::string& version) {
+  return slice(SliceKind::kVersion, version).counters;
+}
+
+VersionCounters& MetricsRegistry::backend_counters(
+    const std::string& backend) {
+  return slice(SliceKind::kBackend, backend).counters;
+}
+
+ModelMetrics& MetricsRegistry::model_metrics(const std::string& model_id) {
+  return slice(SliceKind::kModel, model_id);
+}
+
 void MetricsRegistry::note_queue_depth(std::size_t depth) {
-  std::uint64_t seen = queue_depth_peak.load(kRelaxed);
-  while (depth > seen &&
-         !queue_depth_peak.compare_exchange_weak(seen, depth, kRelaxed)) {
-  }
+  note_peak(queue_depth_peak, depth);
 }
 
 std::uint64_t MetricsRegistry::completed() const {
@@ -141,69 +159,48 @@ std::string MetricsRegistry::to_json(double elapsed_seconds) const {
      << "},\n"
      << "  \"lifecycle\": {"
      << "\"shed\": " << shed.load(kRelaxed)
-     << ", \"reloads\": " << reloads.load(kRelaxed) << "},\n"
-     << "  \"versions\": {";
+     << ", \"reloads\": " << reloads.load(kRelaxed) << "},\n";
   {
-    std::lock_guard<std::mutex> lock(versions_mu_);
-    bool first = true;
-    for (const auto& [version, counters] : versions_) {
-      os << (first ? "\n" : ",\n") << "    \"" << version << "\": {"
-         << "\"served\": " << counters->served.load(kRelaxed)
-         << ", \"clamped\": " << counters->clamped.load(kRelaxed)
-         << ", \"degraded\": " << counters->degraded.load(kRelaxed)
-         << ", \"assumption_hits\": "
-         << counters->assumption_hits.load(kRelaxed)
-         << ", \"interventions\": " << counters->interventions.load(kRelaxed)
-         << "}";
-      first = false;
+    // One walk over the slice table: keys sort by family, so each
+    // section's slices are contiguous and arrive in section order.
+    std::lock_guard<std::mutex> lock(slices_mu_);
+    auto it = slices_.begin();
+    for (const auto& [kind, section] :
+         {std::pair{SliceKind::kVersion, "versions"},
+          std::pair{SliceKind::kBackend, "backends"},
+          std::pair{SliceKind::kModel, "models"}}) {
+      os << "  \"" << section << "\": {";
+      bool first = true;
+      for (; it != slices_.end() && it->first.first == kind; ++it) {
+        const ModelMetrics& m = *it->second;
+        os << (first ? "\n    " : ",\n    ");
+        json_string(os, it->first.second);
+        os << ": {"
+           << "\"served\": " << m.counters.served.load(kRelaxed)
+           << ", \"clamped\": " << m.counters.clamped.load(kRelaxed)
+           << ", \"degraded\": " << m.counters.degraded.load(kRelaxed)
+           << ", \"assumption_hits\": "
+           << m.counters.assumption_hits.load(kRelaxed)
+           << ", \"interventions\": "
+           << m.counters.interventions.load(kRelaxed);
+        if (kind == SliceKind::kModel) {
+          const LatencyHistogram& h = m.total_latency;
+          os << ", \"shed\": " << m.shed.load(kRelaxed)
+             << ", \"batches\": " << m.batches.load(kRelaxed)
+             << ", \"queue_depth_peak\": "
+             << m.queue_depth_peak.load(kRelaxed)
+             << ", \"p50_ms\": " << h.percentile_ns(0.50) / 1e6
+             << ", \"p95_ms\": " << h.percentile_ns(0.95) / 1e6
+             << ", \"p99_ms\": " << h.percentile_ns(0.99) / 1e6;
+        }
+        os << "}";
+        first = false;
+      }
+      if (!first) os << "\n  ";
+      os << "},\n";
     }
-    if (!first) os << "\n  ";
   }
-  os << "},\n"
-     << "  \"backends\": {";
-  {
-    std::lock_guard<std::mutex> lock(backends_mu_);
-    bool first = true;
-    for (const auto& [backend, counters] : backends_) {
-      os << (first ? "\n" : ",\n") << "    \"" << backend << "\": {"
-         << "\"served\": " << counters->served.load(kRelaxed)
-         << ", \"clamped\": " << counters->clamped.load(kRelaxed)
-         << ", \"degraded\": " << counters->degraded.load(kRelaxed)
-         << ", \"assumption_hits\": "
-         << counters->assumption_hits.load(kRelaxed)
-         << ", \"interventions\": " << counters->interventions.load(kRelaxed)
-         << "}";
-      first = false;
-    }
-    if (!first) os << "\n  ";
-  }
-  os << "},\n"
-     << "  \"models\": {";
-  {
-    std::lock_guard<std::mutex> lock(models_mu_);
-    bool first = true;
-    for (const auto& [model_id, m] : models_) {
-      os << (first ? "\n" : ",\n") << "    \"" << model_id << "\": {"
-         << "\"served\": " << m->counters.served.load(kRelaxed)
-         << ", \"clamped\": " << m->counters.clamped.load(kRelaxed)
-         << ", \"degraded\": " << m->counters.degraded.load(kRelaxed)
-         << ", \"assumption_hits\": "
-         << m->counters.assumption_hits.load(kRelaxed)
-         << ", \"interventions\": "
-         << m->counters.interventions.load(kRelaxed)
-         << ", \"shed\": " << m->shed.load(kRelaxed)
-         << ", \"batches\": " << m->batches.load(kRelaxed)
-         << ", \"queue_depth_peak\": " << m->queue_depth_peak.load(kRelaxed)
-         << ", \"p50_ms\": " << m->total_latency.percentile_ns(0.50) / 1e6
-         << ", \"p95_ms\": " << m->total_latency.percentile_ns(0.95) / 1e6
-         << ", \"p99_ms\": " << m->total_latency.percentile_ns(0.99) / 1e6
-         << "}";
-      first = false;
-    }
-    if (!first) os << "\n  ";
-  }
-  os << "},\n"
-     << "  \"latency\": {\n";
+  os << "  \"latency\": {\n";
   json_histogram(os, "queue", queue_latency);
   os << ",\n";
   json_histogram(os, "infer", infer_latency);
@@ -228,30 +225,10 @@ void MetricsRegistry::reset() {
                   &mixed_batches, &queue_depth_peak, &shed, &reloads}) {
     c->store(0, kRelaxed);
   }
-  // Zero in place: references handed out by version_counters() /
-  // backend_counters() stay valid.
-  {
-    std::lock_guard<std::mutex> lock(versions_mu_);
-    for (auto& [version, counters] : versions_) {
-      for (auto* c : {&counters->served, &counters->clamped,
-                      &counters->degraded, &counters->assumption_hits,
-                      &counters->interventions}) {
-        c->store(0, kRelaxed);
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(backends_mu_);
-    for (auto& [backend, counters] : backends_) {
-      for (auto* c : {&counters->served, &counters->clamped,
-                      &counters->degraded, &counters->assumption_hits,
-                      &counters->interventions}) {
-        c->store(0, kRelaxed);
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(models_mu_);
-  for (auto& [model_id, m] : models_) {
+  // Zero in place: references handed out by the slice accessors stay
+  // valid.
+  std::lock_guard<std::mutex> lock(slices_mu_);
+  for (auto& [key, m] : slices_) {
     for (auto* c : {&m->counters.served, &m->counters.clamped,
                     &m->counters.degraded, &m->counters.assumption_hits,
                     &m->counters.interventions, &m->shed, &m->batches,

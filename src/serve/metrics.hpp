@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 namespace safenn::serve {
 
@@ -55,13 +56,13 @@ struct VersionCounters {
   std::uint64_t completed() const;
 };
 
-/// Per-model metric slice for multi-model serving: the same outcome /
-/// shield counters as a version slice, plus what routing adds — sheds
-/// charged to requests routed at this model, micro-batches formed from
-/// its queue, its queue-depth high-water mark, and its own end-to-end
-/// latency histogram (p50/p95/p99 per model id in the JSON dump). Same
-/// contracts as VersionCounters: stable addresses for the registry's
-/// lifetime, zeroed in place by reset().
+/// Per-model metric slice: the same outcome / shield counters as a
+/// version slice, plus what routing adds — sheds charged to requests
+/// routed at this model, micro-batches formed from its queue, its
+/// queue-depth high-water mark, and its own end-to-end latency histogram
+/// (p50/p95/p99 per model id in the JSON dump). Same contracts as
+/// VersionCounters: stable addresses for the registry's lifetime, zeroed
+/// in place by reset().
 struct ModelMetrics {
   VersionCounters counters;
   std::atomic<std::uint64_t> shed{0};
@@ -127,10 +128,10 @@ class MetricsRegistry {
   /// arithmetic produced.
   VersionCounters& backend_counters(const std::string& backend);
 
-  /// The per-model metric slice (keyed by routing model id), created on
-  /// first use — same lifetime and locking contract as
-  /// version_counters(). On the single-model path no slice is ever
-  /// created and the JSON "models" section stays empty.
+  /// The per-model metric slice (keyed by routing model id), same
+  /// lifetime and locking contract as version_counters(). The server's
+  /// model table resolves each model's slice once, when the model is
+  /// added.
   ModelMetrics& model_metrics(const std::string& model_id);
 
   /// Requests that received a response through the engine path.
@@ -145,13 +146,15 @@ class MetricsRegistry {
   void reset();
 
  private:
-  // unique_ptr values keep counter addresses stable across map growth.
-  mutable std::mutex versions_mu_;
-  std::map<std::string, std::unique_ptr<VersionCounters>> versions_;
-  mutable std::mutex backends_mu_;
-  std::map<std::string, std::unique_ptr<VersionCounters>> backends_;
-  mutable std::mutex models_mu_;
-  std::map<std::string, std::unique_ptr<ModelMetrics>> models_;
+  /// The three slice families share one table. Keys order by family
+  /// first, in the order the JSON dump writes its sections.
+  enum class SliceKind { kVersion, kBackend, kModel };
+  ModelMetrics& slice(SliceKind kind, const std::string& label);
+
+  mutable std::mutex slices_mu_;
+  // unique_ptr values keep slice addresses stable across map growth.
+  std::map<std::pair<SliceKind, std::string>, std::unique_ptr<ModelMetrics>>
+      slices_;
 };
 
 }  // namespace safenn::serve

@@ -11,6 +11,18 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+std::uint64_t to_ns(double seconds) {
+  return seconds <= 0.0 ? 0
+                        : static_cast<std::uint64_t>(seconds * 1e9);
+}
+
+std::uint64_t ns_between(Clock::time_point start, Clock::time_point end) {
+  if (end <= start) return 0;
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+          .count());
+}
+
 std::size_t watermark_depth(std::size_t budget, double fraction) {
   const double f = std::clamp(fraction, 0.0, 1.0);
   const auto depth =
@@ -18,30 +30,82 @@ std::size_t watermark_depth(std::size_t budget, double fraction) {
   return std::max<std::size_t>(1, depth);
 }
 
-std::shared_ptr<const registry::ModelSnapshot> make_snapshot(
-    const registry::ModelArtifact& artifact, linalg::KernelBackend requested,
-    std::size_t max_batch) {
-  const ResolvedBackend resolved =
-      resolve_serving_backend(artifact, requested, max_batch);
-  return std::make_shared<const registry::ModelSnapshot>(
-      artifact, resolved.backend, resolved.quantized_kernel);
+/// Bumps one counter slice (the global registry, or a version, backend
+/// or model slice) for one answered request. Rejections never reach a
+/// slice: they are counted where they happen, at submit.
+template <typename Slice>
+void count(Slice& slice, const ServeResponse& response) {
+  switch (response.outcome) {
+    case ServeOutcome::kServed: slice.served.fetch_add(1, kRelaxed); break;
+    case ServeOutcome::kClamped: slice.clamped.fetch_add(1, kRelaxed); break;
+    case ServeOutcome::kDegraded: slice.degraded.fetch_add(1, kRelaxed); break;
+    case ServeOutcome::kRejected: break;
+  }
+  if (response.assumption_hit) slice.assumption_hits.fetch_add(1, kRelaxed);
+  if (response.intervened) slice.interventions.fetch_add(1, kRelaxed);
+}
+
+/// Per-response accounting on the worker path: fills
+/// `response.queue_seconds`, counts the response in the global, version,
+/// backend and model slices, and records the latency histograms. The
+/// caller resolves the slices once per micro-batch and still owns
+/// fulfilling the request's promise afterwards.
+void account_response(MetricsRegistry& metrics, VersionCounters& version,
+                      VersionCounters& arith, ModelMetrics& model,
+                      const ServeRequest& request, ServeResponse& response,
+                      Clock::time_point dequeue_time) {
+  const std::uint64_t queue_ns =
+      ns_between(request.enqueue_time, dequeue_time);
+  response.queue_seconds = static_cast<double>(queue_ns) / 1e9;
+  count(metrics, response);
+  count(version, response);
+  count(arith, response);
+  count(model.counters, response);
+  metrics.queue_latency.record(queue_ns);
+  metrics.infer_latency.record(to_ns(response.infer_seconds));
+  const std::uint64_t total_ns =
+      ns_between(request.enqueue_time, Clock::now());
+  metrics.total_latency.record(total_ns);
+  model.total_latency.record(total_ns);
+}
+
+/// The slot serving `model_id` in `table` (const or not); throws
+/// safenn::Error naming `caller` on an unknown id.
+template <typename Table>
+auto& known_slot(Table& table, const std::string& model_id,
+                 const char* caller) {
+  auto* slot = table.find(model_id);
+  if (slot == nullptr) {
+    throw Error(std::string("MultiModelServer::") + caller +
+                ": unknown model id '" + model_id + "'");
+  }
+  return *slot;
 }
 
 }  // namespace
 
+const char* to_string(AdmissionPolicy policy) {
+  switch (policy) {
+    case AdmissionPolicy::kRejectWhenFull: return "reject-when-full";
+    case AdmissionPolicy::kDegradeAtWatermark: return "degrade-at-watermark";
+  }
+  return "?";
+}
+
 // ---------------------------------------------------------------- signal
 
 void WorkSignal::wake_one() {
-  // Producer side of the Dekker pairing: the caller already published
-  // its work (depth fetch_add, seq_cst) BEFORE this waiters read. If a
-  // worker decided to park, its waiters increment (under mu_, seq_cst)
-  // either precedes this read — we see it and notify — or follows it,
-  // in which case the worker's predicate check (also under mu_) is
-  // ordered after our depth increment and sees the work. Either way no
-  // wakeup is lost, and under load (no parked workers) producers never
-  // touch the mutex or condvar.
-  if (waiters_.load(std::memory_order_seq_cst) == 0) return;
+  // The caller already pushed its request under the queue's mutex. A
+  // worker that parks counts itself (under mu_) and then reads the
+  // queues under their mutexes: either that read follows our push and
+  // sees the request, or it precedes it, and the queue mutex hands the
+  // count to this read — we see it and wake the worker. Either way no
+  // wakeup is lost.
+  if (parked_.load(std::memory_order_seq_cst) == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
+  if (parked_.load(std::memory_order_relaxed) == 0) return;
+  parked_.fetch_sub(1, std::memory_order_relaxed);
+  ++wakeups_;
   cv_.notify_one();
 }
 
@@ -61,14 +125,14 @@ ModelTable::ModelTable(std::size_t admission_budget)
 void ModelTable::add_slot(
     std::string model_id,
     std::shared_ptr<const registry::ModelSnapshot> snapshot,
-    std::size_t queue_capacity) {
+    std::size_t queue_capacity, MetricsRegistry& metrics) {
   require(!model_id.empty(), "ModelTable: empty model id");
   require(index_.find(model_id) == index_.end(),
           "ModelTable: duplicate model id '" + model_id + "'");
   index_[model_id] = slots_.size();
-  slots_.push_back(std::make_unique<Slot>(std::move(model_id),
-                                          std::move(snapshot),
-                                          queue_capacity));
+  ModelMetrics& slice = metrics.model_metrics(model_id);
+  slots_.push_back(std::make_unique<Slot>(
+      std::move(model_id), std::move(snapshot), queue_capacity, slice));
 }
 
 ModelTable::Slot* ModelTable::find(const std::string& model_id) {
@@ -89,35 +153,28 @@ std::vector<std::string> ModelTable::model_ids() const {
 }
 
 bool ModelTable::reserve() {
-  // seq_cst: the increment must be globally ordered before the
-  // producer's waiter-count read in WorkSignal::wake_one().
-  const std::uint64_t before = depth_.fetch_add(1, std::memory_order_seq_cst);
+  const std::uint64_t before = depth_.fetch_add(1, kRelaxed);
   if (before >= budget_) {
-    depth_.fetch_sub(1, std::memory_order_seq_cst);
+    depth_.fetch_sub(1, kRelaxed);
     return false;
   }
   return true;
 }
 
-void ModelTable::reserve_unchecked() {
-  depth_.fetch_add(1, std::memory_order_seq_cst);
-}
+void ModelTable::reserve_unchecked() { depth_.fetch_add(1, kRelaxed); }
 
-void ModelTable::release(std::size_t n) {
-  depth_.fetch_sub(n, std::memory_order_seq_cst);
-}
+void ModelTable::release(std::size_t n) { depth_.fetch_sub(n, kRelaxed); }
 
 void ModelTable::close_all() {
   for (auto& slot : slots_) slot->queue.close();
   signal_.close();
 }
 
-bool ModelTable::drained() const {
-  if (!signal_.closed()) return false;
+bool ModelTable::queued() const {
   for (const auto& slot : slots_) {
-    if (slot->queue.size() > 0) return false;
+    if (slot->queue.size() > 0) return true;
   }
-  return true;
+  return false;
 }
 
 // ------------------------------------------------------------------ pool
@@ -166,8 +223,7 @@ void ShardedWorkerPool::process_batch(std::size_t slot_index,
   VersionCounters& version = metrics_.version_counters(snapshot->version());
   VersionCounters& arith =
       metrics_.backend_counters(linalg::to_string(snapshot->backend()));
-  ModelMetrics& model = metrics_.model_metrics(slot.model_id);
-  model.batches.fetch_add(1, kRelaxed);
+  slot.metrics.batches.fetch_add(1, kRelaxed);
   // Batch-purity invariant: every request in a popped micro-batch was
   // routed to this slot. A violation would silently break per-model
   // replay, so it is counted (and asserted 0 by bench_multimodel_serve)
@@ -184,7 +240,7 @@ void ShardedWorkerPool::process_batch(std::size_t slot_index,
   std::vector<ServeResponse> responses =
       engine.serve_batch(batch, dequeue_time);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    account_response(metrics_, version, arith, &model, batch[i],
+    account_response(metrics_, version, arith, slot.metrics, batch[i],
                      responses[i], dequeue_time);
     batch[i].promise.set_value(std::move(responses[i]));
   }
@@ -223,9 +279,8 @@ void ShardedWorkerPool::worker_loop(std::size_t worker_index) {
     }
     if (n == 0) {
       if (table_.drained()) return;
-      table_.signal().wait([this] {
-        return table_.signal().closed() || table_.depth() > 0;
-      });
+      table_.signal().wait(
+          [this] { return table_.signal().closed() || table_.queued(); });
       continue;
     }
     // The budget units free as soon as the batch leaves its queue: the
@@ -243,9 +298,9 @@ ModelTable& MultiModelServer::init_table(
   require(!models.empty(), "MultiModelServer: at least one model required");
   for (const ModelEntry& entry : models) {
     table_.add_slot(entry.model_id,
-                    make_snapshot(entry.artifact, config_.backend,
-                                  config_.pool.max_batch),
-                    config_.queue_capacity);
+                    admit_snapshot(entry.artifact, config_.backend,
+                                   config_.pool.max_batch),
+                    config_.queue_capacity, metrics_);
   }
   return table_;
 }
@@ -255,8 +310,14 @@ MultiModelServer::MultiModelServer(const std::vector<ModelEntry>& models,
     : config_(config),
       table_(config.admission_budget),
       pool_(init_table(models), metrics_, config.pool),
-      watermark_depth_(
-          watermark_depth(table_.budget(), config.queue_watermark)) {
+      // The watermark is a fraction of the backlog that can actually
+      // form (every slot's queue has the same capacity); over the budget
+      // alone, a fleet whose queues hold less would reject before it
+      // ever shed.
+      watermark_depth_(watermark_depth(
+          std::min(table_.budget(),
+                   table_.size() * table_.slot(0).queue.capacity()),
+          config.queue_watermark)) {
   pool_.start();
 }
 
@@ -306,7 +367,7 @@ std::future<ServeResponse> MultiModelServer::submit(
   }
   table_.signal().wake_one();
   metrics_.note_queue_depth(table_.depth());
-  metrics_.model_metrics(model_id).note_queue_depth(slot->queue.size());
+  slot->metrics.note_queue_depth(slot->queue.size());
   return future;
 }
 
@@ -328,25 +389,21 @@ std::future<ServeResponse> MultiModelServer::submit_blocking(
   }
   table_.signal().wake_one();
   metrics_.note_queue_depth(table_.depth());
-  metrics_.model_metrics(model_id).note_queue_depth(slot->queue.size());
+  slot->metrics.note_queue_depth(slot->queue.size());
   return future;
 }
 
 linalg::KernelBackend MultiModelServer::reload(
     const std::string& model_id, const registry::ModelArtifact& artifact) {
   std::lock_guard<std::mutex> lock(reload_mu_);
-  ModelTable::Slot* slot = table_.find(model_id);
-  if (slot == nullptr) {
-    throw Error("MultiModelServer::reload: unknown model id '" + model_id +
-                "'");
-  }
-  // Per-artifact re-gating, exactly as the single-model reload: kSimd's
-  // tolerance gate / kQuantized's bitwise gate never survive a swap.
+  ModelTable::Slot& slot = known_slot(table_, model_id, "reload");
+  // Per-artifact re-gating: kSimd's tolerance gate / kQuantized's bitwise
+  // gate never survive a swap.
   std::shared_ptr<const registry::ModelSnapshot> next =
-      make_snapshot(artifact, config_.backend, config_.pool.max_batch);
+      admit_snapshot(artifact, config_.backend, config_.pool.max_batch);
   const linalg::KernelBackend backend = next->backend();
   std::shared_ptr<const registry::ModelSnapshot> previous =
-      slot->live.swap(std::move(next));
+      slot.live.swap(std::move(next));
   metrics_.reloads.fetch_add(1, kRelaxed);
   log_info("serve: hot-swapped model '", model_id, "' ",
            previous->version(), " -> ", artifact.version, " (backend ",
@@ -368,16 +425,6 @@ void MultiModelServer::fulfil_shed(ModelTable::Slot& slot,
                                    ServeRequest& request) {
   const std::shared_ptr<const registry::ModelSnapshot> snapshot =
       slot.live.current();
-  ModelMetrics& model = metrics_.model_metrics(slot.model_id);
-  metrics_.degraded.fetch_add(1, kRelaxed);
-  metrics_.shed.fetch_add(1, kRelaxed);
-  model.counters.degraded.fetch_add(1, kRelaxed);
-  model.shed.fetch_add(1, kRelaxed);
-  metrics_.version_counters(snapshot->version())
-      .degraded.fetch_add(1, kRelaxed);
-  metrics_.backend_counters(linalg::to_string(snapshot->backend()))
-      .degraded.fetch_add(1, kRelaxed);
-  metrics_.note_queue_depth(table_.depth());
   ServeResponse response;
   response.id = request.id;
   response.model_id = request.model_id;
@@ -385,26 +432,24 @@ void MultiModelServer::fulfil_shed(ModelTable::Slot& slot,
   response.action = snapshot->monitor().safe_action();
   response.model_version = snapshot->version();
   response.backend = snapshot->backend();
+  metrics_.shed.fetch_add(1, kRelaxed);
+  slot.metrics.shed.fetch_add(1, kRelaxed);
+  count(metrics_, response);
+  count(slot.metrics.counters, response);
+  count(metrics_.version_counters(snapshot->version()), response);
+  count(metrics_.backend_counters(linalg::to_string(snapshot->backend())),
+        response);
+  metrics_.note_queue_depth(table_.depth());
   request.promise.set_value(std::move(response));
 }
 
 std::string MultiModelServer::version(const std::string& model_id) const {
-  const ModelTable::Slot* slot = table_.find(model_id);
-  if (slot == nullptr) {
-    throw Error("MultiModelServer::version: unknown model id '" + model_id +
-                "'");
-  }
-  return slot->live.current()->version();
+  return known_slot(table_, model_id, "version").live.current()->version();
 }
 
 linalg::KernelBackend MultiModelServer::backend(
     const std::string& model_id) const {
-  const ModelTable::Slot* slot = table_.find(model_id);
-  if (slot == nullptr) {
-    throw Error("MultiModelServer::backend: unknown model id '" + model_id +
-                "'");
-  }
-  return slot->live.current()->backend();
+  return known_slot(table_, model_id, "backend").live.current()->backend();
 }
 
 void MultiModelServer::stop() { pool_.stop(); }

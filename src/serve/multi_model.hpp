@@ -1,6 +1,7 @@
-// Multi-model serving: N live models behind one admission budget.
+// Serving runtime: N live models behind one admission budget. A single
+// model is served as a one-entry fleet.
 //
-// Topology (tentpole of the multi-model PR):
+// Topology:
 //
 //   submit(model_id, scene)
 //        |  route (frozen id -> slot map, no lock)
@@ -19,11 +20,11 @@
 // The load-bearing invariants:
 //
 //  * Micro-batches never mix models. A batch is always popped from ONE
-//    slot's queue, so the per-(model, version) bitwise-replay proof of
-//    the single-model server carries over unchanged — each model's
-//    intervention/assumption counters must equal a sequential replay of
-//    exactly the scenes that model served. The pool still counts a
-//    `mixed_batches` violation metric (asserted 0 by the bench).
+//    slot's queue, and its snapshot is pinned for the whole batch, so
+//    each model's intervention/assumption counters must equal a
+//    sequential replay of exactly the scenes that model served. The pool
+//    still counts a `mixed_batches` violation metric (asserted 0 by the
+//    bench).
 //
 //  * One admission budget for the fleet. Queues are per model (a hot
 //    model cannot starve a cold model's queue space), but admission —
@@ -32,10 +33,12 @@
 //    statement about the fleet's total backlog, not about one model.
 //
 //  * Per-model hot swap, per-model backend re-gating. Each slot is its
-//    own LiveModel: reload(model_id, artifact) re-runs the kernel
-//    admission gate (float tolerance harness / quantized bitwise
-//    harness) for the new artifact and swaps only that slot; in-flight
-//    batches of every model finish on the snapshot they pinned.
+//    own LiveModel: reload(model_id, artifact) re-runs admit_snapshot
+//    (float tolerance harness / quantized bitwise harness) for the new
+//    artifact and swaps only that slot; in-flight batches of every model
+//    finish on the snapshot they pinned. Stop closes every queue, lets
+//    the workers drain what is already enqueued (no request is ever
+//    dropped with a broken promise), then joins.
 #pragma once
 
 #include <atomic>
@@ -51,40 +54,74 @@
 #include "serve/engine.hpp"
 #include "serve/metrics.hpp"
 #include "serve/request_queue.hpp"
-#include "serve/worker_pool.hpp"
 
 namespace safenn::serve {
 
-/// Wakeup channel shared by every queue in a ModelTable: producers set
-/// the global depth, consumers park here when every queue probe comes
-/// back empty. Producers skip the condition variable entirely when no
-/// worker is parked (the common case under load); the Dekker-style
-/// seq_cst ordering between the depth increment and the waiter-count
-/// read makes the skip safe — a worker that decided to park after
-/// checking the depth is guaranteed visible to the producer.
+struct WorkerPoolConfig {
+  std::size_t workers = 4;
+  std::size_t max_batch = 16;
+};
+
+/// What submit() does when the fleet backs up. Either way latency stays
+/// bounded — the policies differ in what the client gets back.
+enum class AdmissionPolicy {
+  /// Accept until the admission budget or the model's queue is full,
+  /// then kRejected (the caller gets no action and must handle the
+  /// refusal).
+  kRejectWhenFull,
+  /// Shed load with a safe default: at the fleet-depth watermark the
+  /// request is answered immediately with the routed model's
+  /// SafetyMonitor::safe_action() as kDegraded — the client always
+  /// receives an actionable (and provably safe) answer, overload never
+  /// builds unbounded latency, and the shield guarantee is preserved
+  /// because the fallback is the same one deadline overruns use.
+  kDegradeAtWatermark,
+};
+
+const char* to_string(AdmissionPolicy policy);
+
+/// Wakeup channel shared by every queue in a ModelTable: producers push
+/// into a queue, consumers park here when every queue probe comes back
+/// empty. Each push hands at most one wakeup to one parked worker, so
+/// once every parked worker holds one, producers skip the mutex
+/// entirely (the common case under load) and cannot starve the woken
+/// workers of it; the queue mutex orders a parking worker's count
+/// increment before any push its predicate missed, which makes the skip
+/// safe.
 class WorkSignal {
  public:
-  /// Called by producers after publishing work (depth increment first).
+  /// Called by producers after pushing a request.
   void wake_one();
   /// Marks the signal closed and wakes every parked worker.
   void close();
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  /// Parks until `pred()` holds. `pred` is evaluated under the signal
-  /// mutex; it must be cheap (atomic loads).
+  /// Parks until a producer hands this worker a wakeup or the signal
+  /// closes, unless `pred()` — evaluated under the signal mutex after
+  /// the worker counts itself parked — already holds.
   template <typename Pred>
   void wait(Pred pred) {
     std::unique_lock<std::mutex> lock(mu_);
-    waiters_.fetch_add(1, std::memory_order_seq_cst);
-    cv_.wait(lock, pred);
-    waiters_.fetch_sub(1, std::memory_order_seq_cst);
+    parked_.fetch_add(1, std::memory_order_seq_cst);
+    if (pred()) {
+      parked_.fetch_sub(1, std::memory_order_relaxed);
+      return;
+    }
+    cv_.wait(lock, [this] { return wakeups_ > 0 || closed(); });
+    if (wakeups_ > 0) {
+      --wakeups_;  // the producer already uncounted this worker
+    } else {
+      parked_.fetch_sub(1, std::memory_order_relaxed);
+    }
   }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  // Mutated only under mu_; producers read it lock-free (seq_cst).
-  std::atomic<std::uint64_t> waiters_{0};
+  // Workers parked without a wakeup. Mutated only under mu_; producers
+  // read it lock-free (seq_cst).
+  std::atomic<std::uint64_t> parked_{0};
+  std::size_t wakeups_ = 0;  // handed out, not yet taken (under mu_)
   std::atomic<bool> closed_{false};
 };
 
@@ -95,28 +132,31 @@ class ModelTable {
  public:
   struct Slot {
     Slot(std::string id, std::shared_ptr<const registry::ModelSnapshot> snap,
-         std::size_t queue_capacity)
+         std::size_t queue_capacity, ModelMetrics& slice)
         : model_id(std::move(id)),
           live(std::move(snap)),
-          queue(queue_capacity) {}
+          queue(queue_capacity),
+          metrics(slice) {}
 
     const std::string model_id;
     registry::LiveModel live;
     RequestQueue queue;
+    /// This model's metrics slice, resolved once when the slot is added.
+    ModelMetrics& metrics;
   };
 
   /// `admission_budget` is the fleet-wide cap on enqueued requests.
   explicit ModelTable(std::size_t admission_budget);
 
-  /// Adds a slot (construction phase only — before any traffic).
+  /// Adds a slot (construction phase only — before any traffic) and
+  /// resolves its per-model slice in `metrics`.
   void add_slot(std::string model_id,
                 std::shared_ptr<const registry::ModelSnapshot> snapshot,
-                std::size_t queue_capacity);
+                std::size_t queue_capacity, MetricsRegistry& metrics);
 
   Slot* find(const std::string& model_id);
   const Slot* find(const std::string& model_id) const;
   Slot& slot(std::size_t index) { return *slots_[index]; }
-  const Slot& slot(std::size_t index) const { return *slots_[index]; }
   std::size_t size() const { return slots_.size(); }
   std::vector<std::string> model_ids() const;
 
@@ -129,16 +169,22 @@ class ModelTable {
   /// Returns `n` units after a pop (or after a failed per-queue push).
   void release(std::size_t n);
 
+  /// Fleet backlog as admission counts it: a request holds its unit
+  /// from reserve() (before its push) to release() (after its pop).
   std::size_t depth() const {
-    return depth_.load(std::memory_order_seq_cst);
+    return depth_.load(std::memory_order_relaxed);
   }
   std::size_t budget() const { return budget_; }
   WorkSignal& signal() { return signal_; }
 
+  /// True while some queue holds a request (takes each queue's lock).
+  /// Idle workers park on this, not on depth(), which also counts
+  /// requests between reserve() and their push.
+  bool queued() const;
   /// Closes every queue and the signal (shutdown). Idempotent.
   void close_all();
   /// True once closed and every queue has been drained.
-  bool drained() const;
+  bool drained() const { return signal_.closed() && !queued(); }
 
  private:
   const std::size_t budget_;
@@ -148,10 +194,10 @@ class ModelTable {
   WorkSignal signal_;
 };
 
-/// Work-stealing worker pool over a ModelTable. Identical serving
-/// semantics to the single-model WorkerPool — snapshot pinned per popped
-/// batch, one batched forward, per-row guard, account_response — plus
-/// the per-model metric slice and the batch-purity check.
+/// Work-stealing worker pool over a ModelTable: per popped batch it pins
+/// the slot's snapshot, runs one batched forward with the per-row guard,
+/// accounts every response (global, per version, per backend, per
+/// model), and checks batch purity.
 class ShardedWorkerPool {
  public:
   ShardedWorkerPool(ModelTable& table, MetricsRegistry& metrics,
@@ -187,12 +233,17 @@ struct MultiModelConfig {
   WorkerPoolConfig pool;
   /// Per-request service deadline from submit time; <= 0 means none.
   double deadline_seconds = 0.0;
-  /// Requested kernel backend; gated per artifact exactly as in
-  /// InferenceServer::Config (and re-gated on every reload).
+  /// Requested kernel backend for the batched forward hot path, gated
+  /// per artifact by admit_snapshot at construction and on every reload.
+  /// Trainer/verifier paths are unaffected — they always run the
+  /// reference kernels.
   linalg::KernelBackend backend = linalg::KernelBackend::kReference;
+  /// Overload behavior of submit(); see AdmissionPolicy.
   AdmissionPolicy admission = AdmissionPolicy::kRejectWhenFull;
-  /// Fraction of `admission_budget` (clamped to (0, 1]) at which
-  /// kDegradeAtWatermark sheds — on the FLEET depth, not the model's.
+  /// Fraction (clamped to (0, 1]) of the backlog the fleet can hold —
+  /// the smaller of `admission_budget` and the summed queue capacities —
+  /// at which kDegradeAtWatermark sheds; on the FLEET depth, not the
+  /// model's.
   double queue_watermark = 0.75;
 };
 
@@ -203,7 +254,8 @@ struct ModelEntry {
   registry::ModelArtifact artifact;
 };
 
-/// The multi-model serving facade: owns table + pool + metrics.
+/// The serving facade: owns table + pool + metrics. One model is a
+/// one-entry fleet.
 class MultiModelServer {
  public:
   /// Gates each artifact's backend and starts the workers immediately.

@@ -16,77 +16,23 @@ RequestQueue::RequestQueue(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 bool RequestQueue::try_push(ServeRequest&& request) {
-  bool wake_popper = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(request));
-    wake_popper = waiting_poppers_ > 0;
-  }
-  // One item became available: one notify_one, and only when a consumer
-  // is actually parked (the waiter count is read under mu_, so a
-  // consumer that decided to wait is guaranteed visible here).
-  if (wake_popper) not_empty_.notify_one();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_ || items_.size() >= capacity_) return false;
+  items_.push_back(std::move(request));
   return true;
 }
 
 bool RequestQueue::push(ServeRequest&& request) {
-  bool wake_popper = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!closed_ && items_.size() >= capacity_) {
-      ++waiting_pushers_;
-      not_full_.wait(lock,
-                     [this] { return closed_ || items_.size() < capacity_; });
-      --waiting_pushers_;
-    }
-    if (closed_) return false;
-    items_.push_back(std::move(request));
-    wake_popper = waiting_poppers_ > 0;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!closed_ && items_.size() >= capacity_) {
+    ++waiting_pushers_;
+    not_full_.wait(lock,
+                   [this] { return closed_ || items_.size() < capacity_; });
+    --waiting_pushers_;
   }
-  if (wake_popper) not_empty_.notify_one();
+  if (closed_) return false;
+  items_.push_back(std::move(request));
   return true;
-}
-
-std::size_t RequestQueue::drain_locked(std::vector<ServeRequest>& out,
-                                       std::size_t max_batch) {
-  std::size_t taken = 0;
-  while (taken < max_batch && !items_.empty()) {
-    out.push_back(std::move(items_.front()));
-    items_.pop_front();
-    ++taken;
-  }
-  return taken;
-}
-
-void RequestQueue::notify_not_full(std::size_t freed, bool had_waiters) {
-  if (freed == 0 || !had_waiters) return;
-  // One freed slot admits one blocked producer; a multi-slot drain wakes
-  // them all (each rechecks capacity under the lock).
-  if (freed == 1) {
-    not_full_.notify_one();
-  } else {
-    not_full_.notify_all();
-  }
-}
-
-std::size_t RequestQueue::pop_batch(std::vector<ServeRequest>& out,
-                                    std::size_t max_batch) {
-  if (max_batch == 0) max_batch = 1;
-  std::size_t taken = 0;
-  bool had_waiters = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty() && !closed_) {
-      ++waiting_poppers_;
-      not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-      --waiting_poppers_;
-    }
-    taken = drain_locked(out, max_batch);
-    had_waiters = waiting_pushers_ > 0;
-  }
-  notify_not_full(taken, had_waiters);
-  return taken;
 }
 
 std::size_t RequestQueue::try_pop_batch(std::vector<ServeRequest>& out,
@@ -96,10 +42,21 @@ std::size_t RequestQueue::try_pop_batch(std::vector<ServeRequest>& out,
   bool had_waiters = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    taken = drain_locked(out, max_batch);
+    while (taken < max_batch && !items_.empty()) {
+      out.push_back(std::move(items_.front()));
+      items_.pop_front();
+      ++taken;
+    }
     had_waiters = waiting_pushers_ > 0;
   }
-  notify_not_full(taken, had_waiters);
+  if (taken == 0 || !had_waiters) return taken;
+  // One freed slot admits one blocked producer; a multi-slot drain wakes
+  // them all (each rechecks capacity under the lock).
+  if (taken == 1) {
+    not_full_.notify_one();
+  } else {
+    not_full_.notify_all();
+  }
   return taken;
 }
 
@@ -108,7 +65,6 @@ void RequestQueue::close() {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
   }
-  not_empty_.notify_all();
   not_full_.notify_all();
 }
 

@@ -35,7 +35,6 @@ const char* to_string(ServeOutcome outcome);
 struct ServeResponse {
   std::uint64_t id = 0;
   /// Which model the request was routed to (echoed from the request).
-  /// Empty on the single-model serving path.
   std::string model_id;
   ServeOutcome outcome = ServeOutcome::kRejected;
   linalg::Vector action;        // empty for kRejected
@@ -57,9 +56,9 @@ struct ServeResponse {
 
 struct ServeRequest {
   std::uint64_t id = 0;
-  /// Routing key for multi-model serving; empty on the single-model
-  /// path. A popped micro-batch is always model-pure: requests with
-  /// different ids never share a queue, so they never share a batch.
+  /// Routing key: the model this request is served by. A popped
+  /// micro-batch is always model-pure: requests with different ids never
+  /// share a queue, so they never share a batch.
   std::string model_id;
   linalg::Vector scene;
   Clock::time_point enqueue_time{};
@@ -68,8 +67,8 @@ struct ServeRequest {
 };
 
 /// Bounded multi-producer multi-consumer FIFO. All operations are
-/// thread-safe; `close()` wakes every waiter and lets consumers drain
-/// what remains before `pop_batch` starts returning 0.
+/// thread-safe; `close()` wakes every blocked producer and lets
+/// consumers drain what remains.
 class RequestQueue {
  public:
   explicit RequestQueue(std::size_t capacity);
@@ -82,19 +81,12 @@ class RequestQueue {
   /// becomes) closed.
   bool push(ServeRequest&& request);
 
-  /// Blocks until at least one request is available or the queue is
-  /// closed and empty, then moves up to `max_batch` requests into `out`
-  /// (appended) without further waiting — opportunistic micro-batching.
-  /// Returns the number of requests delivered; 0 means closed-and-empty.
-  std::size_t pop_batch(std::vector<ServeRequest>& out,
-                        std::size_t max_batch);
-
-  /// Non-blocking pop_batch: drains up to `max_batch` requests under one
-  /// lock acquisition and returns immediately — 0 means the queue is
-  /// currently empty (closed or not). This is the sharded worker pool's
-  /// probe: a worker scans its home queue, then steal candidates, and
-  /// only blocks on the shared work signal once every probe comes back
-  /// empty.
+  /// Moves up to `max_batch` requests into `out` (appended) under one
+  /// lock acquisition and returns immediately — opportunistic
+  /// micro-batching; 0 means the queue is currently empty (closed or
+  /// not). Consumers never block here: the sharded worker pool probes its
+  /// home queue, then steal candidates, and parks on the shared work
+  /// signal only once every probe comes back empty.
   std::size_t try_pop_batch(std::vector<ServeRequest>& out,
                             std::size_t max_batch);
 
@@ -107,21 +99,15 @@ class RequestQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  std::size_t drain_locked(std::vector<ServeRequest>& out,
-                           std::size_t max_batch);
-  void notify_not_full(std::size_t freed, bool had_waiters);
-
   const std::size_t capacity_;
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<ServeRequest> items_;
-  // Waiter counts (guarded by mu_): producers/consumers only touch a
-  // condition variable when someone is actually blocked on it, so the
+  // Blocked-producer count (guarded by mu_): a pop touches the condition
+  // variable only when a producer is actually blocked on it, so the
   // uncontended fast path is push/pop under one short lock with zero
   // futex syscalls (BM_RequestQueue in bench_micro.cpp measures this).
   std::size_t waiting_pushers_ = 0;
-  std::size_t waiting_poppers_ = 0;
   bool closed_ = false;
 };
 

@@ -467,12 +467,8 @@ TEST(LiveModel, SnapshotFromArtifactOwnsBitwiseIdenticalModel) {
 }
 
 TEST(LiveModel, SwapPublishesNextAndReturnsPrevious) {
-  const core::TrainedPredictor predictor = make_craft_predictor();
-  const MonitorConfig config = make_monitor_config();
-  const core::SafetyMonitor monitor(config.region, config.lateral_threshold);
-
   LiveModel live(std::make_shared<const ModelSnapshot>(
-      "v1", predictor, monitor, linalg::KernelBackend::kReference));
+      make_test_artifact("v1", 11), linalg::KernelBackend::kReference));
   EXPECT_EQ(live.current()->version(), "v1");
   EXPECT_EQ(live.swap_count(), 0u);
 

@@ -17,7 +17,6 @@
 #include "registry/artifact.hpp"
 #include "serve/metrics.hpp"
 #include "serve/multi_model.hpp"
-#include "serve/worker_pool.hpp"
 
 namespace safenn::serve {
 namespace {
@@ -87,6 +86,18 @@ ServeRequest make_request(std::uint64_t id, Vector scene,
   return r;
 }
 
+/// Consumer side of the concurrent queue tests: probes until a batch
+/// arrives, or returns 0 once the queue is closed and drained.
+std::size_t poll_batch(RequestQueue& q, std::vector<ServeRequest>& out,
+                       std::size_t max_batch) {
+  for (;;) {
+    const std::size_t n = q.try_pop_batch(out, max_batch);
+    if (n > 0) return n;
+    if (q.closed() && q.size() == 0) return 0;
+    std::this_thread::yield();
+  }
+}
+
 // -------------------------------------------------------------------------
 // RequestQueue semantics.
 // -------------------------------------------------------------------------
@@ -101,12 +112,12 @@ TEST(RequestQueue, BoundedFifoAndTryPushSheds) {
   EXPECT_EQ(q.size(), 4u);
 
   std::vector<ServeRequest> out;
-  EXPECT_EQ(q.pop_batch(out, 2), 2u);
+  EXPECT_EQ(q.try_pop_batch(out, 2), 2u);
   EXPECT_EQ(out[0].id, 0u);
   EXPECT_EQ(out[1].id, 1u);
   EXPECT_TRUE(q.try_push(make_request(4, Vector(1))));  // space again
   out.clear();
-  EXPECT_EQ(q.pop_batch(out, 10), 3u);  // drains what's there, no more
+  EXPECT_EQ(q.try_pop_batch(out, 10), 3u);  // drains what's there, no more
   EXPECT_EQ(out.back().id, 4u);
 }
 
@@ -119,9 +130,9 @@ TEST(RequestQueue, CloseDrainsBacklogThenReturnsZero) {
   EXPECT_FALSE(q.try_push(make_request(9, Vector(1))));
   EXPECT_FALSE(q.push(make_request(9, Vector(1))));
   std::vector<ServeRequest> out;
-  EXPECT_EQ(q.pop_batch(out, 3), 3u);
-  EXPECT_EQ(q.pop_batch(out, 3), 2u);
-  EXPECT_EQ(q.pop_batch(out, 3), 0u);  // closed and empty: no block
+  EXPECT_EQ(q.try_pop_batch(out, 3), 3u);
+  EXPECT_EQ(q.try_pop_batch(out, 3), 2u);
+  EXPECT_EQ(q.try_pop_batch(out, 3), 0u);  // closed and empty
   EXPECT_EQ(out.size(), 5u);
 }
 
@@ -131,9 +142,9 @@ TEST(RequestQueue, BatchFormationRespectsMaxBatch) {
     ASSERT_TRUE(q.try_push(make_request(i, Vector(1))));
   }
   std::vector<ServeRequest> out;
-  EXPECT_EQ(q.pop_batch(out, 4), 4u);
-  EXPECT_EQ(q.pop_batch(out, 4), 4u);
-  EXPECT_EQ(q.pop_batch(out, 4), 2u);
+  EXPECT_EQ(q.try_pop_batch(out, 4), 4u);
+  EXPECT_EQ(q.try_pop_batch(out, 4), 4u);
+  EXPECT_EQ(q.try_pop_batch(out, 4), 2u);
   for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(out[i].id, i);
 }
 
@@ -149,7 +160,7 @@ TEST(RequestQueue, TryPushAtExactCapacityBoundary) {
   EXPECT_EQ(q.size(), 3u);  // the failed push must not consume a slot
   // Freeing exactly one slot re-admits exactly one request.
   std::vector<ServeRequest> out;
-  EXPECT_EQ(q.pop_batch(out, 1), 1u);
+  EXPECT_EQ(q.try_pop_batch(out, 1), 1u);
   EXPECT_TRUE(q.try_push(make_request(4, Vector(1))));
   EXPECT_FALSE(q.try_push(make_request(5, Vector(1))));
 }
@@ -163,12 +174,12 @@ TEST(RequestQueue, DrainAfterCloseKeepsFifoOrder) {
   // Batch boundaries must not perturb FIFO order while draining a closed
   // queue, and the terminal 0 must be sticky.
   std::vector<ServeRequest> out;
-  while (q.pop_batch(out, 7) > 0) {
+  while (q.try_pop_batch(out, 7) > 0) {
   }
   ASSERT_EQ(out.size(), 20u);
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(out[i].id, i);
   out.clear();
-  EXPECT_EQ(q.pop_batch(out, 7), 0u);
+  EXPECT_EQ(q.try_pop_batch(out, 7), 0u);
   EXPECT_FALSE(q.try_push(make_request(99, Vector(1))));
   EXPECT_FALSE(q.push(make_request(99, Vector(1))));
 }
@@ -199,7 +210,7 @@ TEST(RequestQueue, CloseRacingPushAndPopBatchLosesNoAcceptedRequest) {
         std::vector<ServeRequest> batch;
         for (;;) {
           batch.clear();
-          const std::size_t n = q.pop_batch(batch, 5);
+          const std::size_t n = poll_batch(q, batch, 5);
           if (n == 0) return;
           popped.fetch_add(n, std::memory_order_relaxed);
         }
@@ -239,7 +250,7 @@ TEST(RequestQueue, ContendedMpmcDeliversEveryRequestOnce) {
       std::vector<ServeRequest> batch;
       for (;;) {
         batch.clear();
-        if (q.pop_batch(batch, 7) == 0) return;
+        if (poll_batch(q, batch, 7) == 0) return;
         std::lock_guard<std::mutex> lock(seen_mu);
         for (const ServeRequest& r : batch) {
           EXPECT_TRUE(seen.insert(r.id).second) << "duplicate id " << r.id;
@@ -252,6 +263,38 @@ TEST(RequestQueue, ContendedMpmcDeliversEveryRequestOnce) {
   q.close();
   for (auto& t : consumers) t.join();
   EXPECT_EQ(seen.size(), kProducers * kPerProducer);
+}
+
+/// Crafts a registered-artifact analogue of make_craft_predictor with a
+/// chosen lateral bias (which controls how often the shield intervenes),
+/// content-hashed as the registry would. Bias 1.0 is make_craft_predictor
+/// itself.
+registry::ModelArtifact make_serve_artifact(const std::string& version,
+                                            double lateral_bias,
+                                            const verify::InputRegion& region,
+                                            double threshold = 1.0) {
+  core::TrainedPredictor p = make_craft_predictor();
+  p.network.layer(0).biases()[p.head.mean_index(
+      0, highway::kActionLateral)] = lateral_bias;
+  registry::MonitorConfig config;
+  config.region = region;
+  config.lateral_threshold = threshold;
+  registry::ModelArtifact artifact =
+      registry::make_artifact(version, p, config);
+  std::stringstream ss;
+  artifact.content_hash = registry::save_artifact(ss, artifact);
+  return artifact;
+}
+
+/// A snapshot of make_serve_artifact's model served with `backend`,
+/// ungated: the engine tests pick the arithmetic directly. The snapshot
+/// owns its monitor, whose stats() the tests read.
+registry::ModelSnapshot make_serve_snapshot(
+    double lateral_bias, const verify::InputRegion& region,
+    double threshold = 1.0,
+    linalg::KernelBackend backend = linalg::KernelBackend::kReference) {
+  return registry::ModelSnapshot(
+      make_serve_artifact("v1", lateral_bias, region, threshold), backend);
 }
 
 // -------------------------------------------------------------------------
@@ -272,7 +315,8 @@ class EngineFixture : public ::testing::Test {
 };
 
 TEST_F(EngineFixture, ServesClampsAndDegrades) {
-  ShieldedEngine engine(predictor_, monitor_);
+  const registry::ModelSnapshot snapshot = make_serve_snapshot(1.0, region_);
+  ShieldedEngine engine(snapshot);
   const auto scenes = make_scene_set(encoder_, region_, 2, 3);
 
   // Outside the region: served untouched regardless of lateral value.
@@ -282,15 +326,11 @@ TEST_F(EngineFixture, ServesClampsAndDegrades) {
   EXPECT_FALSE(r0.assumption_hit);
   EXPECT_FALSE(r0.intervened);
 
-  // Inside the region with lateral forced high: clamped to threshold.
+  // Inside the region with lateral forced high (a loud lateral bias):
+  // clamped to threshold.
   Vector hot = scenes[1];
-  // Zero the weighted dims so lateral == bias (1.0); raise the bias via a
-  // dedicated predictor instead: simpler — craft a predictor variant.
-  core::TrainedPredictor loud = make_craft_predictor();
-  loud.network.layer(0).biases()[loud.head.mean_index(
-      0, highway::kActionLateral)] = 5.0;
-  core::SafetyMonitor hot_monitor(region_, 1.0);
-  ShieldedEngine hot_engine(loud, hot_monitor);
+  const registry::ModelSnapshot loud = make_serve_snapshot(5.0, region_);
+  ShieldedEngine hot_engine(loud);
   ServeRequest inside = make_request(1, hot);
   ServeResponse r1 = hot_engine.serve(inside, Clock::now());
   EXPECT_EQ(r1.outcome, ServeOutcome::kClamped);
@@ -301,12 +341,12 @@ TEST_F(EngineFixture, ServesClampsAndDegrades) {
   // Expired deadline: degraded to the safe action, no inference.
   ServeRequest late = make_request(2, scenes[1],
                                    Clock::now() - std::chrono::seconds(1));
-  const core::MonitorStats before = hot_monitor.stats();
+  const core::MonitorStats before = loud.monitor().stats();
   ServeResponse r2 = hot_engine.serve(late, Clock::now());
   EXPECT_EQ(r2.outcome, ServeOutcome::kDegraded);
   EXPECT_EQ(r2.infer_seconds, 0.0);
-  EXPECT_EQ(hot_monitor.stats().queries, before.queries);  // untouched
-  const Vector safe = hot_monitor.safe_action();
+  EXPECT_EQ(loud.monitor().stats().queries, before.queries);  // untouched
+  const Vector safe = loud.monitor().safe_action();
   EXPECT_EQ(r2.action[highway::kActionLateral],
             safe[highway::kActionLateral]);
 }
@@ -326,16 +366,17 @@ TEST_F(EngineFixture, ServeBatchMatchesPerRequestServe) {
                    : Clock::time_point::max()));
   }
 
-  core::SafetyMonitor seq_monitor(region_, 0.5);
-  ShieldedEngine seq_engine(predictor_, seq_monitor);
+  const registry::ModelSnapshot seq = make_serve_snapshot(1.0, region_, 0.5);
+  ShieldedEngine seq_engine(seq);
   std::vector<ServeResponse> expected;
   expected.reserve(requests.size());
   for (const ServeRequest& request : requests) {
     expected.push_back(seq_engine.serve(request, now));
   }
 
-  core::SafetyMonitor batch_monitor(region_, 0.5);
-  ShieldedEngine batch_engine(predictor_, batch_monitor);
+  const registry::ModelSnapshot batch =
+      make_serve_snapshot(1.0, region_, 0.5);
+  ShieldedEngine batch_engine(batch);
   const std::vector<ServeResponse> batched =
       batch_engine.serve_batch(requests, now);
 
@@ -358,15 +399,16 @@ TEST_F(EngineFixture, ServeBatchMatchesPerRequestServe) {
   // to mean anything.
   EXPECT_TRUE(any_clamped);
   EXPECT_TRUE(any_degraded);
-  EXPECT_EQ(batch_monitor.stats().queries, seq_monitor.stats().queries);
-  EXPECT_EQ(batch_monitor.stats().assumption_hits,
-            seq_monitor.stats().assumption_hits);
-  EXPECT_EQ(batch_monitor.stats().interventions,
-            seq_monitor.stats().interventions);
+  EXPECT_EQ(batch.monitor().stats().queries, seq.monitor().stats().queries);
+  EXPECT_EQ(batch.monitor().stats().assumption_hits,
+            seq.monitor().stats().assumption_hits);
+  EXPECT_EQ(batch.monitor().stats().interventions,
+            seq.monitor().stats().interventions);
 }
 
 TEST_F(EngineFixture, ServeBatchAllExpiredNeverTouchesPredictor) {
-  ShieldedEngine engine(predictor_, monitor_);
+  const registry::ModelSnapshot snapshot = make_serve_snapshot(1.0, region_);
+  ShieldedEngine engine(snapshot);
   const auto scenes = make_scene_set(encoder_, region_, 4, 9);
   const Clock::time_point now = Clock::now();
   std::vector<ServeRequest> requests;
@@ -381,40 +423,44 @@ TEST_F(EngineFixture, ServeBatchAllExpiredNeverTouchesPredictor) {
     EXPECT_EQ(r.outcome, ServeOutcome::kDegraded);
     EXPECT_EQ(r.infer_seconds, 0.0);
   }
-  EXPECT_EQ(monitor_.stats().queries, 0u);  // predictor/monitor untouched
+  // predictor/monitor untouched
+  EXPECT_EQ(snapshot.monitor().stats().queries, 0u);
 
   EXPECT_TRUE(engine.serve_batch({}, now).empty());
 }
 
 // -------------------------------------------------------------------------
-// InferenceServer end to end.
+// A single model served end to end: a one-entry fleet (model id "m").
 // -------------------------------------------------------------------------
 
 TEST_F(EngineFixture, ServerRejectsWhenQueueFullAndNoWorkersDrain) {
   // One slot, one worker, but the worker is starved by submitting faster
   // than it can possibly drain is racy — instead verify rejection by
   // stopping the server first: every submit must reject immediately.
-  InferenceServer::Config cfg;
+  MultiModelConfig cfg;
   cfg.queue_capacity = 1;
   cfg.pool.workers = 1;
-  InferenceServer server(predictor_, monitor_, cfg);
+  MultiModelServer server({{"m", make_serve_artifact("v1", 1.0, region_)}},
+                          cfg);
   server.stop();
-  auto f = server.submit(Vector(highway::kSceneFeatures));
+  auto f = server.submit("m", Vector(highway::kSceneFeatures));
   ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
   EXPECT_EQ(f.get().outcome, ServeOutcome::kRejected);
   EXPECT_EQ(server.metrics().rejected.load(), 1u);
 }
 
 TEST_F(EngineFixture, ServerStopFulfilsEveryPendingRequest) {
-  InferenceServer::Config cfg;
+  MultiModelConfig cfg;
   cfg.queue_capacity = 4096;
+  cfg.admission_budget = 4096;
   cfg.pool.workers = 3;
   cfg.pool.max_batch = 8;
-  InferenceServer server(predictor_, monitor_, cfg);
+  MultiModelServer server({{"m", make_serve_artifact("v1", 1.0, region_)}},
+                          cfg);
   const auto scenes = make_scene_set(encoder_, region_, 400, 17);
   std::vector<std::future<ServeResponse>> futures;
   futures.reserve(scenes.size());
-  for (const Vector& s : scenes) futures.push_back(server.submit(s));
+  for (const Vector& s : scenes) futures.push_back(server.submit("m", s));
   server.stop();
   std::size_t resolved = 0;
   for (auto& f : futures) {
@@ -429,14 +475,17 @@ TEST_F(EngineFixture, ServerStopFulfilsEveryPendingRequest) {
 }
 
 TEST_F(EngineFixture, ExpiredDeadlinesDegradeUnderLoad) {
-  InferenceServer::Config cfg;
+  MultiModelConfig cfg;
   cfg.queue_capacity = 512;
   cfg.pool.workers = 2;
   cfg.deadline_seconds = 1e-9;  // effectively already expired
-  InferenceServer server(predictor_, monitor_, cfg);
+  MultiModelServer server({{"m", make_serve_artifact("v1", 1.0, region_)}},
+                          cfg);
   const auto scenes = make_scene_set(encoder_, region_, 64, 29);
   std::vector<std::future<ServeResponse>> futures;
-  for (const Vector& s : scenes) futures.push_back(server.submit_blocking(s));
+  for (const Vector& s : scenes) {
+    futures.push_back(server.submit_blocking("m", s));
+  }
   const Vector safe = monitor_.safe_action();
   std::size_t degraded = 0;
   for (auto& f : futures) {
@@ -471,16 +520,16 @@ TEST_F(EngineFixture, ConcurrentInterventionsMatchSequentialReplay) {
 
   // Concurrent replay through the full runtime, twice to shake schedules.
   for (int round = 0; round < 2; ++round) {
-    core::SafetyMonitor concurrent(region_, 1.0);
-    InferenceServer::Config cfg;
+    MultiModelConfig cfg;
     cfg.queue_capacity = 256;
     cfg.pool.workers = 4;
     cfg.pool.max_batch = 16;
-    InferenceServer server(predictor_, concurrent, cfg);
+    MultiModelServer server({{"m", make_serve_artifact("v1", 1.0, region_)}},
+                            cfg);
     std::vector<std::future<ServeResponse>> futures;
     futures.reserve(scenes.size());
     for (const Vector& s : scenes) {
-      futures.push_back(server.submit_blocking(s));
+      futures.push_back(server.submit_blocking("m", s));
     }
     for (auto& f : futures) f.wait();
     server.stop();
@@ -488,7 +537,8 @@ TEST_F(EngineFixture, ConcurrentInterventionsMatchSequentialReplay) {
     EXPECT_EQ(server.metrics().interventions.load(), seq_interventions);
     EXPECT_EQ(server.metrics().assumption_hits.load(),
               sequential.stats().assumption_hits);
-    EXPECT_EQ(concurrent.stats().interventions, seq_interventions);
+    EXPECT_EQ(server.metrics().version_counters("v1").interventions.load(),
+              seq_interventions);
     EXPECT_EQ(server.metrics().completed(), scenes.size());
   }
 }
@@ -496,26 +546,6 @@ TEST_F(EngineFixture, ConcurrentInterventionsMatchSequentialReplay) {
 // -------------------------------------------------------------------------
 // Hot reload: atomic model swap under live traffic.
 // -------------------------------------------------------------------------
-
-/// Crafts a registered-artifact analogue of make_craft_predictor with a
-/// chosen lateral bias (which controls how often the shield intervenes),
-/// content-hashed as the registry would.
-registry::ModelArtifact make_serve_artifact(const std::string& version,
-                                            double lateral_bias,
-                                            const verify::InputRegion& region,
-                                            double threshold = 1.0) {
-  core::TrainedPredictor p = make_craft_predictor();
-  p.network.layer(0).biases()[p.head.mean_index(
-      0, highway::kActionLateral)] = lateral_bias;
-  registry::MonitorConfig config;
-  config.region = region;
-  config.lateral_threshold = threshold;
-  registry::ModelArtifact artifact =
-      registry::make_artifact(version, p, config);
-  std::stringstream ss;
-  artifact.content_hash = registry::save_artifact(ss, artifact);
-  return artifact;
-}
 
 TEST_F(EngineFixture, HotReloadUnderLiveTrafficKeepsShieldContinuity) {
   const auto scenes = make_scene_set(encoder_, region_, 900, 51);
@@ -525,12 +555,12 @@ TEST_F(EngineFixture, HotReloadUnderLiveTrafficKeepsShieldContinuity) {
   const registry::ModelArtifact v2 = make_serve_artifact("v2", 5.0, region_);
   const registry::ModelArtifact v3 = make_serve_artifact("v3", 1.2, region_);
 
-  InferenceServer::Config cfg;
+  MultiModelConfig cfg;
   cfg.queue_capacity = 64;
   cfg.pool.workers = 2;
   cfg.pool.max_batch = 8;
-  InferenceServer server(v1, cfg);
-  EXPECT_EQ(server.model_version(), "v1");
+  MultiModelServer server({{"m", v1}}, cfg);
+  EXPECT_EQ(server.version("m"), "v1");
 
   // The producer submits in three thirds and starts the next third only
   // once the previous reload has returned, so every version is live for
@@ -543,7 +573,7 @@ TEST_F(EngineFixture, HotReloadUnderLiveTrafficKeepsShieldContinuity) {
     for (std::size_t i = 0; i < scenes.size(); ++i) {
       if (i == third) gates[0].wait();
       if (i == 2 * third) gates[1].wait();
-      futures[i] = server.submit_blocking(scenes[i]);
+      futures[i] = server.submit_blocking("m", scenes[i]);
     }
   });
 
@@ -556,18 +586,17 @@ TEST_F(EngineFixture, HotReloadUnderLiveTrafficKeepsShieldContinuity) {
     }
   };
   wait_completed(250);
-  server.reload(v2);
-  EXPECT_EQ(server.model_version(), "v2");
+  server.reload("m", v2);
+  EXPECT_EQ(server.version("m"), "v2");
   v2_live.set_value();
   wait_completed(550);
-  server.reload(v3);
+  server.reload("m", v3);
   v3_live.set_value();
   producer.join();
   server.stop();
 
   EXPECT_EQ(server.metrics().reloads.load(), 2u);
-  EXPECT_EQ(server.live_model().swap_count(), 2u);
-  EXPECT_EQ(server.model_version(), "v3");
+  EXPECT_EQ(server.version("m"), "v3");
 
   // Every request was answered (no drops across swaps), every response
   // carries the version that actually served it, and all three versions
@@ -621,18 +650,19 @@ TEST_F(EngineFixture, HotReloadUnderLiveTrafficKeepsShieldContinuity) {
 TEST_F(EngineFixture, ReloadRerunsBackendAdmissionPerArtifact) {
   const registry::ModelArtifact v1 = make_serve_artifact("v1", 0.6, region_);
   const registry::ModelArtifact v2 = make_serve_artifact("v2", 1.2, region_);
-  InferenceServer::Config cfg;
+  MultiModelConfig cfg;
   cfg.pool.workers = 1;
   cfg.backend = linalg::KernelBackend::kSimd;
-  InferenceServer server(v1, cfg);
+  MultiModelServer server({{"m", v1}}, cfg);
   // Whatever the gate decided at construction it must re-decide at
-  // reload: the returned backend matches the resolver's verdict for the
-  // new artifact's network, and the live snapshot reports it.
-  const linalg::KernelBackend resolved = resolve_serving_backend(
-      v2.network, linalg::KernelBackend::kSimd, cfg.pool.max_batch);
-  EXPECT_EQ(server.reload(v2), resolved);
-  EXPECT_EQ(server.backend(), resolved);
-  EXPECT_EQ(server.model_version(), "v2");
+  // reload: the returned backend matches the admission verdict for the
+  // new artifact, and the live snapshot reports it.
+  const linalg::KernelBackend resolved =
+      admit_snapshot(v2, linalg::KernelBackend::kSimd, cfg.pool.max_batch)
+          ->backend();
+  EXPECT_EQ(server.reload("m", v2), resolved);
+  EXPECT_EQ(server.backend("m"), resolved);
+  EXPECT_EQ(server.version("m"), "v2");
   server.stop();
 }
 
@@ -641,14 +671,14 @@ TEST_F(EngineFixture, ReloadRerunsBackendAdmissionPerArtifact) {
 // -------------------------------------------------------------------------
 
 TEST_F(EngineFixture, DegradeAtWatermarkShedsWithSafeActionUnderOverload) {
-  InferenceServer::Config cfg;
+  MultiModelConfig cfg;
   cfg.queue_capacity = 8;
   cfg.pool.workers = 1;
   cfg.pool.max_batch = 4;
   cfg.admission = AdmissionPolicy::kDegradeAtWatermark;
   cfg.queue_watermark = 0.25;  // shed at depth 2 of 8
-  cfg.model_version = "wm";
-  InferenceServer server(predictor_, monitor_, cfg);
+  MultiModelServer server({{"m", make_serve_artifact("wm", 1.0, region_)}},
+                          cfg);
   const auto scenes = make_scene_set(encoder_, region_, 64, 33);
   const Vector safe = monitor_.safe_action();
 
@@ -658,7 +688,7 @@ TEST_F(EngineFixture, DegradeAtWatermarkShedsWithSafeActionUnderOverload) {
   std::vector<std::future<ServeResponse>> futures;
   for (int burst = 0; burst < 200 && server.metrics().shed.load() == 0;
        ++burst) {
-    for (const Vector& s : scenes) futures.push_back(server.submit(s));
+    for (const Vector& s : scenes) futures.push_back(server.submit("m", s));
   }
   server.stop();
 
@@ -685,8 +715,52 @@ TEST_F(EngineFixture, DegradeAtWatermarkShedsWithSafeActionUnderOverload) {
   EXPECT_GE(server.metrics().queue_depth_peak.load(), 1u);
 }
 
+TEST_F(EngineFixture, OneEntryFleetOnDefaultsShedsBeforeItRejects) {
+  // The default config's queue (256) is smaller than its admission
+  // budget (512): the watermark must sit below the queue bound, or the
+  // queue fills and rejects before the fleet ever sheds.
+  MultiModelConfig cfg;
+  cfg.admission = AdmissionPolicy::kDegradeAtWatermark;
+  // A wide model, so the default four workers fall behind one producer.
+  core::TrainedPredictor heavy = make_craft_predictor();
+  Rng rng(5);
+  heavy.network = nn::Network::make_i4xn(
+      highway::kSceneFeatures, 256, heavy.head.raw_output_size(),
+      nn::Activation::kRelu, rng);
+  registry::MonitorConfig mc;
+  mc.region = region_;
+  mc.lateral_threshold = 1.0;
+  MultiModelServer server({{"m", registry::make_artifact("wide", heavy, mc)}},
+                          cfg);
+  const auto scenes = make_scene_set(encoder_, region_, 64, 35);
+  const Vector safe = monitor_.safe_action();
+
+  std::vector<std::future<ServeResponse>> futures;
+  for (int burst = 0; burst < 200 && server.metrics().shed.load() == 0;
+       ++burst) {
+    for (const Vector& s : scenes) futures.push_back(server.submit("m", s));
+  }
+  server.stop();
+
+  std::size_t degraded = 0;
+  for (auto& f : futures) {
+    const ServeResponse r = f.get();
+    ASSERT_NE(r.outcome, ServeOutcome::kRejected);
+    if (r.outcome == ServeOutcome::kDegraded) {
+      ++degraded;
+      EXPECT_EQ(r.model_version, "wide");
+      EXPECT_EQ(r.action[highway::kActionLateral],
+                safe[highway::kActionLateral]);
+    }
+  }
+  EXPECT_GT(server.metrics().shed.load(), 0u);
+  EXPECT_EQ(server.metrics().shed.load(), degraded);
+  EXPECT_EQ(server.metrics().rejected.load(), 0u);
+  EXPECT_EQ(server.metrics().completed(), futures.size());
+}
+
 TEST_F(EngineFixture, RejectWhenFullStaysTheDefaultPolicy) {
-  InferenceServer::Config cfg;
+  MultiModelConfig cfg;
   EXPECT_EQ(cfg.admission, AdmissionPolicy::kRejectWhenFull);
   EXPECT_STREQ(to_string(AdmissionPolicy::kRejectWhenFull),
                "reject-when-full");
@@ -860,14 +934,16 @@ TEST_F(EngineFixture, MultiModelShedIsFleetLevelAtWatermark) {
 // -------------------------------------------------------------------------
 
 TEST_F(EngineFixture, SimdBackendGateAdmitsOrFallsBackToReference) {
+  const registry::ModelArtifact artifact =
+      make_serve_artifact("v1", 1.0, region_);
   // kReference passes through the gate untouched.
-  EXPECT_EQ(resolve_serving_backend(predictor_,
-                                    linalg::KernelBackend::kReference, 16),
+  EXPECT_EQ(admit_snapshot(artifact, linalg::KernelBackend::kReference, 16)
+                ->backend(),
             linalg::KernelBackend::kReference);
   // kSimd must resolve to whatever the tolerance harness says on this
   // host — and the harness itself must agree with the gate's verdict.
-  const linalg::KernelBackend resolved = resolve_serving_backend(
-      predictor_, linalg::KernelBackend::kSimd, 16);
+  const linalg::KernelBackend resolved =
+      admit_snapshot(artifact, linalg::KernelBackend::kSimd, 16)->backend();
   const linalg::KernelReport report =
       linalg::verify_kernel_backend(linalg::KernelBackend::kSimd);
   EXPECT_EQ(resolved, report.pass ? linalg::KernelBackend::kSimd
@@ -883,14 +959,14 @@ TEST_F(EngineFixture, SimdServeBatchMatchesReferenceDecisions) {
     requests.push_back(make_request(i, scenes[i]));
   }
 
-  core::SafetyMonitor ref_monitor(region_, 0.5);
-  ShieldedEngine ref_engine(predictor_, ref_monitor);
+  const registry::ModelSnapshot ref = make_serve_snapshot(1.0, region_, 0.5);
+  ShieldedEngine ref_engine(ref);
   const std::vector<ServeResponse> expected =
       ref_engine.serve_batch(requests, now);
 
-  core::SafetyMonitor simd_monitor(region_, 0.5);
-  ShieldedEngine simd_engine(predictor_, simd_monitor,
-                             linalg::KernelBackend::kSimd);
+  const registry::ModelSnapshot simd_snapshot = make_serve_snapshot(
+      1.0, region_, 0.5, linalg::KernelBackend::kSimd);
+  ShieldedEngine simd_engine(simd_snapshot);
   const std::vector<ServeResponse> simd =
       simd_engine.serve_batch(requests, now);
 
@@ -906,25 +982,26 @@ TEST_F(EngineFixture, SimdServeBatchMatchesReferenceDecisions) {
       EXPECT_NEAR(simd[i].action[d], expected[i].action[d], 1e-9) << i;
     }
   }
-  EXPECT_EQ(simd_monitor.stats().interventions,
-            ref_monitor.stats().interventions);
+  EXPECT_EQ(simd_snapshot.monitor().stats().interventions,
+            ref.monitor().stats().interventions);
 }
 
 TEST_F(EngineFixture, ServerWithSimdConfigResolvesGateAndServes) {
-  InferenceServer::Config config;
+  MultiModelConfig config;
   config.pool.workers = 2;
   config.pool.max_batch = 8;
   config.backend = linalg::KernelBackend::kSimd;
-  InferenceServer server(predictor_, monitor_, config);
+  MultiModelServer server({{"m", make_serve_artifact("v1", 1.0, region_)}},
+                          config);
   // Whatever the gate decided, the server must report it and serve.
-  const linalg::KernelBackend active = server.backend();
+  const linalg::KernelBackend active = server.backend("m");
   EXPECT_TRUE(active == linalg::KernelBackend::kSimd ||
               active == linalg::KernelBackend::kReference);
   const auto scenes = make_scene_set(encoder_, region_, 24, 13);
   std::vector<std::future<ServeResponse>> futures;
   futures.reserve(scenes.size());
   for (const Vector& scene : scenes) {
-    futures.push_back(server.submit_blocking(scene));
+    futures.push_back(server.submit_blocking("m", scene));
   }
   for (std::future<ServeResponse>& f : futures) {
     const ServeResponse response = f.get();
@@ -1008,6 +1085,23 @@ TEST(Metrics, JsonDumpContainsEverySection) {
   EXPECT_EQ(&slice, &m.version_counters("vX"));
 }
 
+TEST(Metrics, JsonEscapesSliceLabels) {
+  // A version is any whitespace-free token and a model id any non-empty
+  // string, so slice labels may carry JSON metacharacters.
+  MetricsRegistry m;
+  m.version_counters("v\"2\\x\x01").served.store(1);
+  m.model_metrics("a\\b\"\x1f").shed.store(2);
+  const std::string json = m.to_json();
+  EXPECT_NE(json.find(R"("v\"2\\x\u0001": {"served": 1)"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"("a\\b\"\u001f": {"served": 0)"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"("shed": 2)"), std::string::npos) << json;
+  // No control byte survives unescaped.
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
+  EXPECT_EQ(json.find('\x1f'), std::string::npos);
+}
+
 // -------------------------------------------------------------------------
 // Quantized serving: the exact integer semantics under the shield.
 // -------------------------------------------------------------------------
@@ -1064,26 +1158,67 @@ TEST_F(EngineFixture, QuantizedBackendGateAdmitsPayloadOrFallsBack) {
       make_quantized_serve_artifact("vq", 0.6, region_);
 
   // No payload: kQuantized degrades to float reference with a warning.
-  const ResolvedBackend none = resolve_serving_backend(
-      plain, linalg::KernelBackend::kQuantized, 16);
-  EXPECT_EQ(none.backend, linalg::KernelBackend::kReference);
+  const auto none =
+      admit_snapshot(plain, linalg::KernelBackend::kQuantized, 16);
+  EXPECT_EQ(none->backend(), linalg::KernelBackend::kReference);
+  EXPECT_EQ(none->quantized_engine(), nullptr);
 
   // Payload present: admitted; the inner integer kernel must agree with
   // the bitwise harness's verdict on this host.
-  const ResolvedBackend admitted = resolve_serving_backend(
-      quant, linalg::KernelBackend::kQuantized, 16);
-  EXPECT_EQ(admitted.backend, linalg::KernelBackend::kQuantized);
+  const auto admitted =
+      admit_snapshot(quant, linalg::KernelBackend::kQuantized, 16);
+  EXPECT_EQ(admitted->backend(), linalg::KernelBackend::kQuantized);
   const linalg::QuantKernelReport report =
       linalg::verify_quantized_kernels();
-  EXPECT_EQ(admitted.quantized_kernel,
+  ASSERT_NE(admitted->quantized_engine(), nullptr);
+  EXPECT_EQ(admitted->quantized_engine()->kernel_backend(),
             report.pass ? linalg::KernelBackend::kQuantized
                         : linalg::KernelBackend::kReference);
 
   // Non-quantized requests on a quantized artifact defer to the float
   // gates untouched.
-  const ResolvedBackend ref = resolve_serving_backend(
-      quant, linalg::KernelBackend::kReference, 16);
-  EXPECT_EQ(ref.backend, linalg::KernelBackend::kReference);
+  const auto ref =
+      admit_snapshot(quant, linalg::KernelBackend::kReference, 16);
+  EXPECT_EQ(ref->backend(), linalg::KernelBackend::kReference);
+}
+
+TEST_F(EngineFixture, QuantizedAdmissionFallsBackWhenPackingFails) {
+  // A payload set directly — attach_quantized would refuse it — whose
+  // declared input domain is so wide that the inputs alone overflow the
+  // packed engine's int32 activations.
+  registry::ModelArtifact artifact = make_serve_artifact("vbig", 0.6, region_);
+  artifact.quantized.emplace(
+      1e7, nn::QuantizedNetwork::quantize(artifact.network, 10,
+                                          region_input_limit(region_)));
+  EXPECT_THROW(nn::QuantizedEngine(artifact.quantized->network,
+                                   artifact.quantized->input_limit),
+               nn::QuantizeError);
+
+  // Admission falls back to float reference kernels with no packed engine.
+  const auto snapshot =
+      admit_snapshot(artifact, linalg::KernelBackend::kQuantized, 16);
+  EXPECT_EQ(snapshot->backend(), linalg::KernelBackend::kReference);
+  EXPECT_EQ(snapshot->quantized_engine(), nullptr);
+
+  // A one-entry fleet admits it the same way and serves it.
+  MultiModelConfig cfg;
+  cfg.pool.workers = 1;
+  cfg.backend = linalg::KernelBackend::kQuantized;
+  MultiModelServer server({{"m", artifact}}, cfg);
+  EXPECT_EQ(server.backend("m"), linalg::KernelBackend::kReference);
+  const auto scenes = make_scene_set(encoder_, region_, 32, 19);
+  std::vector<std::future<ServeResponse>> futures;
+  for (const Vector& scene : scenes) {
+    futures.push_back(server.submit_blocking("m", scene));
+  }
+  for (std::future<ServeResponse>& f : futures) {
+    const ServeResponse r = f.get();
+    EXPECT_NE(r.outcome, ServeOutcome::kRejected);
+    EXPECT_EQ(r.backend, linalg::KernelBackend::kReference);
+    EXPECT_EQ(r.model_version, "vbig");
+  }
+  server.stop();
+  EXPECT_EQ(server.metrics().completed(), scenes.size());
 }
 
 TEST_F(EngineFixture, QuantizedServeBatchBitwiseMatchesScalarReplay) {
@@ -1157,14 +1292,14 @@ TEST_F(EngineFixture, HotSwapBetweenFloatAndQuantizedUnderTraffic) {
       make_quantized_serve_artifact("v2", 1.2, region_);
   const registry::ModelArtifact v3 = make_serve_artifact("v3", 0.9, region_);
 
-  InferenceServer::Config cfg;
+  MultiModelConfig cfg;
   cfg.queue_capacity = 64;
   cfg.pool.workers = 2;
   cfg.pool.max_batch = 8;
   cfg.backend = linalg::KernelBackend::kQuantized;
-  InferenceServer server(v1, cfg);
+  MultiModelServer server({{"m", v1}}, cfg);
   // v1 has no payload: the gate falls back to float reference kernels.
-  EXPECT_EQ(server.backend(), linalg::KernelBackend::kReference);
+  EXPECT_EQ(server.backend("m"), linalg::KernelBackend::kReference);
 
   // The producer swaps models at submission milestones. With a 64-slot
   // queue, everything more than 64 submissions behind a milestone has
@@ -1175,12 +1310,12 @@ TEST_F(EngineFixture, HotSwapBetweenFloatAndQuantizedUnderTraffic) {
   std::thread producer([&] {
     for (std::size_t i = 0; i < scenes.size(); ++i) {
       if (i == 300) {
-        EXPECT_EQ(server.reload(v2), linalg::KernelBackend::kQuantized);
+        EXPECT_EQ(server.reload("m", v2), linalg::KernelBackend::kQuantized);
       }
       if (i == 600) {
-        EXPECT_EQ(server.reload(v3), linalg::KernelBackend::kReference);
+        EXPECT_EQ(server.reload("m", v3), linalg::KernelBackend::kReference);
       }
-      futures[i] = server.submit_blocking(scenes[i]);
+      futures[i] = server.submit_blocking("m", scenes[i]);
     }
   });
   producer.join();
