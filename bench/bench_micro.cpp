@@ -102,10 +102,8 @@ void BM_TrainerEpochSteadyState(benchmark::State& state) {
   // scratch hoisted (batch/out-grad/delta matrices, the Adam step
   // buffers and the loss/regularizer vectors are allocated once per
   // train() call, not per batch): each iteration is one full Adam epoch
-  // over 256 samples. The argument is num_workers; 0 means the fused
-  // sequential engine, 1 the sharded engine forced at one worker — their
-  // gap is the parallel path's bookkeeping overhead, which BENCH_train
-  // bounds at <= 5%.
+  // over 256 samples. The argument is num_workers (one worker runs every
+  // task inline on the calling thread).
   const std::size_t workers = static_cast<std::size_t>(state.range(0));
   Rng rng(17);
   nn::Network net = nn::Network::make_mlp({12, 32, 32, 4},
@@ -122,8 +120,7 @@ void BM_TrainerEpochSteadyState(benchmark::State& state) {
   nn::TrainConfig cfg;
   cfg.epochs = 1;
   cfg.batch_size = 32;
-  cfg.num_workers = workers == 0 ? 1 : workers;
-  cfg.force_parallel_path = workers > 0;
+  cfg.num_workers = workers;
   nn::MseLoss loss;
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::Trainer(cfg).train(net, loss, xs, ys));
@@ -131,7 +128,7 @@ void BM_TrainerEpochSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(xs.size()));
 }
-BENCHMARK(BM_TrainerEpochSteadyState)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TrainerEpochSteadyState)->Arg(1)->Arg(2);
 
 void BM_MatvecTransposed(benchmark::State& state) {
   // Probes the zero-skip branch kept in Matrix::matvec_transposed: the

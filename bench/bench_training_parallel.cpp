@@ -5,11 +5,10 @@
 // The exit code reflects DETERMINISM, not speed: at every worker count
 // the generated dataset must be byte-identical to sequential generation,
 // and the trained predictor (final weights, every per-epoch loss) must
-// be bitwise identical to the fused sequential training path. Timings —
-// per-epoch wall time per worker count and the 1-worker parallel-path
-// overhead — are reported but never fail the run; on a single-core
-// container >1x scaling is physically unobservable (PR 1 / PR 4
-// precedent), while determinism is fully checkable anywhere.
+// be bitwise identical to the 1-worker run. Per-epoch wall time per
+// worker count is reported but never fails the run; on a single-core
+// container >1x scaling is physically unobservable, while determinism is
+// fully checkable anywhere.
 //
 // Env knobs: SAFENN_TRAIN_WORKERS (max sweep worker count, default 4),
 // SAFENN_TRAIN_EPOCHS (default 6), SAFENN_TRAIN_WIDTH (hidden width,
@@ -66,10 +65,9 @@ bool datasets_identical(const highway::BuiltDataset& a,
 
 struct TrainPoint {
   std::size_t workers = 0;
-  bool forced_parallel = false;
   double epoch_seconds = 0.0;
   double final_loss = 0.0;
-  double max_abs_weight_diff = 0.0;  // vs the sequential reference
+  double max_abs_weight_diff = 0.0;  // vs the 1-worker run
   bool weights_bitwise = false;
   bool losses_bitwise = false;
 };
@@ -81,15 +79,13 @@ struct TrainOutcome {
 };
 
 TrainOutcome train_once(const data::Dataset& data, std::size_t width,
-                        std::size_t epochs, std::size_t workers,
-                        bool force_parallel) {
+                        std::size_t epochs, std::size_t workers) {
   TrainOutcome out;
   core::PredictorConfig cfg;
   cfg.hidden_width = width;
   cfg.weight_seed = 72;  // one fixed net shared by every sweep point
   cfg.train.epochs = epochs;
   cfg.train.num_workers = workers;
-  cfg.train.force_parallel_path = force_parallel;
   cfg.train.on_epoch = [&](const nn::EpochStats& s) {
     out.epoch_losses.push_back(s.mean_loss);
   };
@@ -170,40 +166,31 @@ int main(int argc, char** argv) {
                 built.data.size(), same ? "byte-identical" : "MISMATCH");
   }
 
-  // --- Training: fused sequential reference, then the parallel sweep. ---
-  const TrainOutcome sequential = train_once(
-      reference_data.data, width, epochs, 1, /*force_parallel=*/false);
-  std::printf("train sequential  %.3fs/epoch  final loss %.6f\n",
-              sequential.seconds / static_cast<double>(epochs),
-              sequential.predictor.final_loss);
-
+  // --- Training: every worker count vs the 1-worker run (the first). ---
   bool training_match = true;
   std::vector<TrainPoint> train_points;
+  TrainOutcome reference;
   for (const std::size_t w : worker_counts) {
-    // Workers == 1 forces the sharded engine so the sweep's first point
-    // measures the parallel path's overhead against the fused reference.
-    const bool force = true;
-    TrainOutcome best = train_once(reference_data.data, width, epochs, w,
-                                   force);
+    TrainOutcome best = train_once(reference_data.data, width, epochs, w);
     double best_seconds = best.seconds;
     for (std::size_t rep = 1; rep < timing_reps; ++rep) {
       const TrainOutcome again =
-          train_once(reference_data.data, width, epochs, w, force);
+          train_once(reference_data.data, width, epochs, w);
       best_seconds = std::min(best_seconds, again.seconds);
     }
+    if (w == 1) reference = best;
 
     TrainPoint point;
     point.workers = w;
-    point.forced_parallel = force;
     point.epoch_seconds = best_seconds / static_cast<double>(epochs);
     point.final_loss = best.predictor.final_loss;
     point.max_abs_weight_diff = max_abs_weight_diff(
-        sequential.predictor.network, best.predictor.network);
+        reference.predictor.network, best.predictor.network);
     point.weights_bitwise = point.max_abs_weight_diff == 0.0 &&
                             best.predictor.final_loss ==
-                                sequential.predictor.final_loss;
+                                reference.predictor.final_loss;
     point.losses_bitwise =
-        losses_identical(sequential.epoch_losses, best.epoch_losses);
+        losses_identical(reference.epoch_losses, best.epoch_losses);
     training_match =
         training_match && point.weights_bitwise && point.losses_bitwise;
     std::printf("train workers=%zu  %.3fs/epoch  max|w diff| %.2e  "
@@ -213,24 +200,6 @@ int main(int argc, char** argv) {
                 point.losses_bitwise ? "bitwise" : "MISMATCH");
     train_points.push_back(point);
   }
-
-  // Sequential timing with the same best-of-N discipline as the sweep.
-  double sequential_best = sequential.seconds;
-  for (std::size_t rep = 1; rep < timing_reps; ++rep) {
-    const TrainOutcome again = train_once(reference_data.data, width, epochs,
-                                          1, /*force_parallel=*/false);
-    sequential_best = std::min(sequential_best, again.seconds);
-  }
-  const double sequential_epoch_seconds =
-      sequential_best / static_cast<double>(epochs);
-  const double overhead_1worker =
-      train_points.empty()
-          ? 0.0
-          : train_points.front().epoch_seconds / sequential_epoch_seconds -
-                1.0;
-  std::printf("parallel-path overhead at 1 worker: %.1f%% (criterion <= "
-              "5%%)\n",
-              100.0 * overhead_1worker);
 
   const bool deterministic = dataset_match && training_match;
 
@@ -248,14 +217,11 @@ int main(int argc, char** argv) {
          << (i + 1 < dataset_points.size() ? ",\n" : "\n");
   }
   json << "    ]\n  },\n  \"training\": {\n"
-       << "    \"sequential_epoch_seconds\": " << sequential_epoch_seconds
-       << ",\n    \"overhead_1worker\": " << overhead_1worker
-       << ",\n    \"match\": " << (training_match ? "true" : "false")
+       << "    \"match\": " << (training_match ? "true" : "false")
        << ",\n    \"points\": [\n";
   for (std::size_t i = 0; i < train_points.size(); ++i) {
     const TrainPoint& p = train_points[i];
     json << "      {\"workers\": " << p.workers
-         << ", \"forced_parallel\": " << (p.forced_parallel ? "true" : "false")
          << ", \"epoch_seconds\": " << p.epoch_seconds
          << ", \"final_loss\": " << p.final_loss
          << ", \"max_abs_weight_diff\": " << p.max_abs_weight_diff

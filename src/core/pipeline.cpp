@@ -13,8 +13,8 @@ nn::GaussianMixture TrainedPredictor::predict(
 }
 
 std::vector<nn::GaussianMixture> TrainedPredictor::predict_batch(
-    const linalg::Matrix& scenes, linalg::KernelBackend backend) const {
-  const linalg::Matrix raw = network.forward_batch(scenes, backend);
+    const linalg::Matrix& scenes) const {
+  const linalg::Matrix raw = network.forward_batch(scenes);
   std::vector<nn::GaussianMixture> out;
   out.reserve(raw.rows());
   linalg::Vector row(raw.cols());
@@ -27,9 +27,8 @@ std::vector<nn::GaussianMixture> TrainedPredictor::predict_batch(
 }
 
 std::vector<nn::GaussianMixture> TrainedPredictor::predict_batch(
-    const std::vector<linalg::Vector>& scenes,
-    linalg::KernelBackend backend) const {
-  return predict_batch(pack_scenes(scenes), backend);
+    const std::vector<linalg::Vector>& scenes) const {
+  return predict_batch(pack_scenes(scenes));
 }
 
 linalg::Matrix pack_scenes(const std::vector<linalg::Vector>& scenes) {

@@ -40,17 +40,12 @@ struct TrainedPredictor {
   nn::GaussianMixture predict(const linalg::Vector& scene) const;
 
   /// Batched prediction, one scene per row: every layer is one GEMM
-  /// instead of B matvecs. With the default kReference backend row i of
-  /// the result is bitwise identical to predict() on row i; the opt-in
-  /// kSimd backend (serving) is tolerance-checked, not bitwise.
+  /// instead of B matvecs, and row i of the result is bitwise identical
+  /// to predict() on row i.
   std::vector<nn::GaussianMixture> predict_batch(
-      const linalg::Matrix& scenes,
-      linalg::KernelBackend backend =
-          linalg::KernelBackend::kReference) const;
+      const linalg::Matrix& scenes) const;
   std::vector<nn::GaussianMixture> predict_batch(
-      const std::vector<linalg::Vector>& scenes,
-      linalg::KernelBackend backend =
-          linalg::KernelBackend::kReference) const;
+      const std::vector<linalg::Vector>& scenes) const;
 };
 
 /// Packs scenes into the batch-as-rows matrix convention.

@@ -1,27 +1,20 @@
-// Kernel backend selection for the GEMM family and batched activations.
+// The float GEMM kernels and the host's vector ISA.
 //
-// Two backends exist behind every hot kernel:
+// One float arithmetic: every output element of the three GEMM kernels
+// below is one ascending-k chain of "multiply, round, add, round"
+// starting from +0.0 (NT) or from the existing C entry (NN, TN). That is
+// the rounding of the per-sample matvec/add_outer path, so the batched
+// nn path matches per-sample results bit for bit, data-parallel training
+// is worker-count invariant, and the MILP/SMT encodings reason about the
+// arithmetic that actually serves.
 //
-//   kReference — the cache-blocked scalar kernels with ascending-k
-//     single-accumulator chains. Their rounding is bit-identical to the
-//     per-sample matvec/add_outer path, which is what the batched-vs-
-//     per-sample equivalence tests, data-parallel training determinism
-//     and the MILP/SMT encodings all rely on. This is the default
-//     everywhere.
-//
-//   kSimd — explicitly vectorized kernels, selected per-host at runtime:
-//     AVX2+FMA on x86-64 CPUs that support it, NEON on AArch64, and a
-//     portable fallback that reuses the reference tile otherwise. The NT kernel (the
-//     batched forward) reassociates the contraction sum across vector
-//     lanes, and all three GEMM kernels fuse multiply-adds, so their
-//     results are NOT bitwise equal to the compiled reference (whose
-//     own contraction behaviour is a compiler choice, -ffp-contract) —
-//     callers opt in (serving hot path) and the backend is gated by the
-//     tolerance harness in linalg/verify_kernels.hpp. The ReLU kernel
-//     (max with zero, no rounding at all) stays exactly equal.
-//
-// Building with -DSAFENN_ENABLE_SIMD=OFF compiles no intrinsics at all;
-// kSimd then always resolves to the portable kernel.
+// On AVX2 hosts the kernels run vectorized without changing any chain:
+// one vector lane owns one output element's chain (never a slice of k),
+// multiplies then adds (never a fused multiply-add), and walks k in
+// ascending order. Every other host, and every build with
+// SAFENN_ENABLE_SIMD=OFF, runs the scalar loops. Both are bitwise equal
+// (tests/test_linalg.cpp ExactKernels.*). The build pins
+// -ffp-contract=off so the compiler cannot fuse the scalar loops either.
 #pragma once
 
 #include <cstddef>
@@ -29,23 +22,22 @@
 
 namespace safenn::linalg {
 
-/// Which kernel implementation a GEMM/activation call dispatches to.
+/// Which arithmetic a forward pass runs.
 enum class KernelBackend {
-  kReference,  ///< Scalar ascending-k kernels; bitwise-reproducible.
-  kSimd,       ///< Vectorized kernels; NT path is tolerance-checked.
+  kReference,  ///< The float kernels below; bitwise-reproducible on every
+               ///< host and ISA.
   kQuantized,  ///< Fixed-point integer engine (linalg/qmatrix.hpp); every
                ///< ISA is bitwise equal to the scalar integer reference.
                ///< Not valid for the float GEMM family — those throw.
 };
 
 std::string to_string(KernelBackend backend);
-KernelBackend kernel_backend_from_string(const std::string& name);
 
-/// Instruction set the kSimd backend resolves to on this host.
+/// Vector instruction set this host dispatches to.
 enum class SimdIsa {
-  kPortable,  ///< Scalar fallback sharing the reference register tile.
-  kAvx2Fma,   ///< x86-64 AVX2 + FMA intrinsics.
-  kNeon,      ///< AArch64 NEON intrinsics.
+  kPortable,  ///< Scalar loops.
+  kAvx2Fma,   ///< x86-64 AVX2 (+ FMA, used by no float kernel).
+  kNeon,      ///< AArch64 NEON (integer kernels only).
 };
 
 /// Runtime-detected ISA (cached after the first call). kPortable when the
@@ -59,52 +51,24 @@ bool simd_kernels_compiled();
 
 namespace kernels {
 
-// Register tile width shared by the reference NT kernel's main loop and
-// its remainder loop (and mirrored by the SIMD j-tiles).
-inline constexpr std::size_t kJr = 4;
+// Row-major raw-pointer contracts; each kernel dispatches on
+// active_simd_isa().
 
-/// One j-tile of the NT kernel: W independent ascending-k dot products of
-/// `arow` against W consecutive length-k rows of B starting at `brows`,
-/// accumulated into crow[0..W) scaled by `s`. Each accumulator is a
-/// single ascending-k chain — the rounding contract the reference
-/// backend's bitwise guarantees rest on. Used with W = kJr by the main
-/// loop and W = 1 by the remainder loop of both the reference kernel and
-/// the portable kSimd fallback.
-template <std::size_t W>
-inline void nt_dot_tile(const double* arow, const double* brows,
-                        std::size_t k, double s, double* crow) {
-  double sums[W] = {};
-  for (std::size_t p = 0; p < k; ++p) {
-    const double av = arow[p];
-    for (std::size_t w = 0; w < W; ++w) sums[w] += av * brows[w * k + p];
-  }
-  for (std::size_t w = 0; w < W; ++w) crow[w] += s * sums[w];
-}
+/// c (m x n) += s * a (m x k) * b^T with b (n x k): for each (i, j),
+/// sum = +0.0; sum += a[i][p] * b[j][p] for ascending p; c += s * sum.
+void accumulate_nt(double* c, const double* a, const double* b, double s,
+                   std::size_t m, std::size_t k, std::size_t n);
 
-// Vectorized counterparts of the reference kernels in matrix.cpp, with
-// identical raw-pointer contracts. Each dispatches on active_simd_isa().
+/// c (m x n) += a (m x k) * b (k x n): for each (i, j),
+/// c += a[i][p] * b[p][j] for ascending p.
+void accumulate_nn(double* c, const double* a, const double* b,
+                   std::size_t m, std::size_t k, std::size_t n);
 
-/// c (m x n) += s * a (m x k) * b^T with b (n x k). Reassociated over k
-/// (vector-lane partial sums); tolerance-checked, not bitwise.
-void simd_accumulate_nt(double* c, const double* a, const double* b,
-                        double s, std::size_t m, std::size_t k,
-                        std::size_t n);
-
-/// c (m x n) += a (m x k) * b (k x n). Vectorized over j with fused
-/// multiply-adds; tolerance-checked like the NT kernel.
-void simd_accumulate_nn(double* c, const double* a, const double* b,
-                        std::size_t m, std::size_t k, std::size_t n);
-
-/// c (m x n) += s * a^T * b with a (k x m), b (k x n): rank-1 updates in
-/// ascending p order, vectorized over j with fused multiply-adds;
-/// tolerance-checked.
-void simd_accumulate_tn(double* c, const double* a, const double* b,
-                        double s, std::size_t k, std::size_t m,
-                        std::size_t n);
-
-/// out[i] = max(in[i], 0). Exactly equal to the scalar ReLU (including
-/// -0.0 and NaN handling of maxpd with the zero operand second).
-void simd_relu(const double* in, double* out, std::size_t n);
+/// c (m x n) += s * a^T * b with a (k x m), b (k x n): for each (i, j),
+/// sa = s * a[p][i]; c += sa * b[p][j] for ascending p (the per-sample
+/// add_outer order).
+void accumulate_tn(double* c, const double* a, const double* b, double s,
+                   std::size_t k, std::size_t m, std::size_t n);
 
 }  // namespace kernels
 

@@ -6,73 +6,6 @@
 #include "common/error.hpp"
 
 namespace safenn::linalg {
-namespace {
-
-// GEMM micro-kernels. All three accumulate each output entry over the
-// contraction index in ascending order — the same order (and therefore
-// the same floating-point rounding) as the per-sample matvec/add_outer
-// path, which is what lets the batched nn path match per-sample results
-// bit for bit.
-
-// K-panel height: a kKc x n panel of B stays cache-resident while a
-// block of A rows streams through it.
-constexpr std::size_t kKc = 64;
-// Register tile width for the NT kernel: kJr rows of B share one pass
-// over a row of A, each with its own independent accumulator chain.
-// (Defined in kernels.hpp so the SIMD j-tiles mirror it.)
-using kernels::kJr;
-
-/// c (m x n) += a (m x k) * b (k x n), row-major raw pointers.
-void accumulate_nn(double* c, const double* a, const double* b,
-                   std::size_t m, std::size_t k, std::size_t n) {
-  for (std::size_t kk = 0; kk < k; kk += kKc) {
-    const std::size_t k_end = std::min(k, kk + kKc);
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* arow = a + i * k;
-      double* crow = c + i * n;
-      for (std::size_t p = kk; p < k_end; ++p) {
-        const double ap = arow[p];
-        const double* brow = b + p * n;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += ap * brow[j];
-      }
-    }
-  }
-}
-
-/// c (m x n) += s * a (m x k) * b^T, where b is (n x k): row-dot-row.
-/// Both the kJr-wide main loop and the remainder run the same shared
-/// inner kernel (kernels::nt_dot_tile), instantiated at the two widths.
-void accumulate_nt(double* c, const double* a, const double* b, double s,
-                   std::size_t m, std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * k;
-    double* crow = c + i * n;
-    std::size_t j = 0;
-    for (; j + kJr <= n; j += kJr) {
-      kernels::nt_dot_tile<kJr>(arow, b + j * k, k, s, crow + j);
-    }
-    for (; j < n; ++j) {
-      kernels::nt_dot_tile<1>(arow, b + j * k, k, s, crow + j);
-    }
-  }
-}
-
-/// c (m x n) += s * a^T * b, where a is (k x m) and b is (k x n): a
-/// sequence of rank-1 updates in ascending p order.
-void accumulate_tn(double* c, const double* a, const double* b, double s,
-                   std::size_t k, std::size_t m, std::size_t n) {
-  for (std::size_t p = 0; p < k; ++p) {
-    const double* arow = a + p * m;
-    const double* brow = b + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double sa = s * arow[i];
-      double* crow = c + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += sa * brow[j];
-    }
-  }
-}
-
-}  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {
@@ -147,79 +80,48 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
   return gemm(*this, rhs);
 }
 
-namespace {
-
-// kQuantized selects the integer engine (linalg/qmatrix.hpp); letting it
-// silently run a float kernel would serve arithmetic nobody verified.
-void require_float_backend(KernelBackend backend, const char* what) {
-  require(backend != KernelBackend::kQuantized,
-          std::string(what) + ": kQuantized is not a float GEMM backend");
-}
-
-}  // namespace
-
-Matrix Matrix::gemm(const Matrix& a, const Matrix& b, KernelBackend backend) {
+Matrix Matrix::gemm(const Matrix& a, const Matrix& b) {
   Matrix out;
-  gemm_into(a, b, out, backend);
+  gemm_into(a, b, out);
   return out;
 }
 
-void Matrix::gemm_into(const Matrix& a, const Matrix& b, Matrix& out,
-                       KernelBackend backend) {
+void Matrix::gemm_into(const Matrix& a, const Matrix& b, Matrix& out) {
   require(a.cols_ == b.rows_, "Matrix::gemm: dimension mismatch");
-  require_float_backend(backend, "Matrix::gemm");
   out.resize(a.rows_, b.cols_);
   out.fill(0.0);
-  if (backend == KernelBackend::kSimd) {
-    kernels::simd_accumulate_nn(out.data(), a.data(), b.data(), a.rows_,
-                                a.cols_, b.cols_);
-  } else {
-    accumulate_nn(out.data(), a.data(), b.data(), a.rows_, a.cols_, b.cols_);
-  }
+  kernels::accumulate_nn(out.data(), a.data(), b.data(), a.rows_, a.cols_,
+                         b.cols_);
 }
 
 void Matrix::gemm_nt_into(const Matrix& a, const Matrix& b, Matrix& out,
                           KernelBackend backend) {
   require(a.cols_ == b.cols_, "Matrix::gemm_nt: dimension mismatch");
-  require_float_backend(backend, "Matrix::gemm_nt");
+  // kQuantized selects the integer engine (linalg/qmatrix.hpp); letting it
+  // silently run a float kernel would serve arithmetic nobody verified.
+  require(backend != KernelBackend::kQuantized,
+          "Matrix::gemm_nt: kQuantized is not a float GEMM backend");
   out.resize(a.rows_, b.rows_);
   out.fill(0.0);
-  if (backend == KernelBackend::kSimd) {
-    kernels::simd_accumulate_nt(out.data(), a.data(), b.data(), 1.0, a.rows_,
-                                a.cols_, b.rows_);
-  } else {
-    accumulate_nt(out.data(), a.data(), b.data(), 1.0, a.rows_, a.cols_,
-                  b.rows_);
-  }
+  kernels::accumulate_nt(out.data(), a.data(), b.data(), 1.0, a.rows_,
+                         a.cols_, b.rows_);
 }
 
-Matrix& Matrix::add_gemm_nt(double s, const Matrix& a, const Matrix& b,
-                            KernelBackend backend) {
+Matrix& Matrix::add_gemm_nt(double s, const Matrix& a, const Matrix& b) {
   require(a.cols_ == b.cols_, "Matrix::add_gemm_nt: inner dimension mismatch");
-  require_float_backend(backend, "Matrix::add_gemm_nt");
   require(rows_ == a.rows_ && cols_ == b.rows_,
           "Matrix::add_gemm_nt: output shape mismatch");
-  if (backend == KernelBackend::kSimd) {
-    kernels::simd_accumulate_nt(data(), a.data(), b.data(), s, a.rows_,
-                                a.cols_, b.rows_);
-  } else {
-    accumulate_nt(data(), a.data(), b.data(), s, a.rows_, a.cols_, b.rows_);
-  }
+  kernels::accumulate_nt(data(), a.data(), b.data(), s, a.rows_, a.cols_,
+                         b.rows_);
   return *this;
 }
 
-Matrix& Matrix::add_gemm_tn(double s, const Matrix& a, const Matrix& b,
-                            KernelBackend backend) {
+Matrix& Matrix::add_gemm_tn(double s, const Matrix& a, const Matrix& b) {
   require(a.rows_ == b.rows_, "Matrix::add_gemm_tn: inner dimension mismatch");
-  require_float_backend(backend, "Matrix::add_gemm_tn");
   require(rows_ == a.cols_ && cols_ == b.cols_,
           "Matrix::add_gemm_tn: output shape mismatch");
-  if (backend == KernelBackend::kSimd) {
-    kernels::simd_accumulate_tn(data(), a.data(), b.data(), s, a.rows_,
-                                a.cols_, b.cols_);
-  } else {
-    accumulate_tn(data(), a.data(), b.data(), s, a.rows_, a.cols_, b.cols_);
-  }
+  kernels::accumulate_tn(data(), a.data(), b.data(), s, a.rows_, a.cols_,
+                         b.cols_);
   return *this;
 }
 

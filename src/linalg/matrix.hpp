@@ -53,30 +53,24 @@ class Matrix {
   Matrix transposed() const;
   Matrix operator*(const Matrix& rhs) const;
 
-  /// C = A B, cache-blocked. With the default kReference backend each
-  /// output entry accumulates over k in ascending order and rounds
-  /// exactly like the matvec path; kSimd vectorizes over output columns
-  /// with fused multiply-adds and is tolerance-checked (see kernels.hpp).
-  static Matrix gemm(const Matrix& a, const Matrix& b,
-                     KernelBackend backend = KernelBackend::kReference);
+  /// C = A B, cache-blocked; each output entry accumulates over k in
+  /// ascending order and rounds exactly like the matvec path (see
+  /// kernels.hpp for the arithmetic every GEMM below shares).
+  static Matrix gemm(const Matrix& a, const Matrix& b);
   /// out = A B without reallocating when `out` already has the shape.
-  static void gemm_into(const Matrix& a, const Matrix& b, Matrix& out,
-                        KernelBackend backend = KernelBackend::kReference);
+  static void gemm_into(const Matrix& a, const Matrix& b, Matrix& out);
   /// out = A B^T (both operands traversed along contiguous rows; the
-  /// batched layer forward, with B = the out x in weight matrix). The
-  /// kSimd backend reassociates the k-contraction across vector lanes —
-  /// results are tolerance-checked against kReference, not bitwise.
+  /// batched layer forward, with B = the out x in weight matrix). Throws
+  /// on kQuantized, which is not a float arithmetic.
   static void gemm_nt_into(const Matrix& a, const Matrix& b, Matrix& out,
                            KernelBackend backend = KernelBackend::kReference);
 
-  /// this += s * A B^T (kSimd: reassociated, tolerance-checked).
-  Matrix& add_gemm_nt(double s, const Matrix& a, const Matrix& b,
-                      KernelBackend backend = KernelBackend::kReference);
+  /// this += s * A B^T.
+  Matrix& add_gemm_nt(double s, const Matrix& a, const Matrix& b);
   /// this += s * A^T B (a (rows-of-A)-long sequence of rank-1 updates in
   /// ascending row order — the batched gradient accumulation, matching
-  /// per-sample add_outer order; kSimd fuses and is tolerance-checked).
-  Matrix& add_gemm_tn(double s, const Matrix& a, const Matrix& b,
-                      KernelBackend backend = KernelBackend::kReference);
+  /// per-sample add_outer order).
+  Matrix& add_gemm_tn(double s, const Matrix& a, const Matrix& b);
 
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator*=(double s);
@@ -97,7 +91,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  aligned_vector<double> data_;  // 64-byte aligned for the SIMD kernels
+  aligned_vector<double> data_;  // 64-byte aligned for the vector kernels
 };
 
 bool approx_equal(const Matrix& a, const Matrix& b, double tol = 1e-9);

@@ -333,7 +333,7 @@ QuantKernelReport verify_quantized_kernels(
       c_ref[e] = c_simd[e] = static_cast<std::int64_t>(e) * 1007 - 42;
     }
     qkernels::qgemm_nt_reference(c_ref.data(), x, w);
-    qkernels::qgemm_nt(c_simd.data(), x, w, KernelBackend::kSimd);
+    qkernels::qgemm_nt(c_simd.data(), x, w, KernelBackend::kQuantized);
 
     QuantKernelCheck check;
     check.m = s.m;

@@ -1,13 +1,13 @@
 // Packed fixed-point matrices + the batched integer GEMM family.
 //
 // The quantized inference engine (nn/qengine.hpp) serves the exact
-// integer semantics the SMT stack verifies, so its kernels carry a
-// stronger contract than the float GEMM family: integer addition is
-// associative, hence every backend — scalar reference, AVX2, NEON,
-// portable — produces BITWISE IDENTICAL accumulators. There is no
-// tolerance gate here (contrast linalg/verify_kernels.hpp): the
-// equivalence harness below asserts max |diff| == 0 and any nonzero
-// difference is a kernel bug, never rounding.
+// integer semantics the SMT stack verifies. Integer addition is
+// associative, so every backend — scalar reference, AVX2, AVX-512, NEON
+// — produces BITWISE IDENTICAL accumulators whatever order it sums in
+// (the float kernels get the same guarantee only by keeping the scalar
+// order; linalg/kernels.hpp). The equivalence
+// harness below asserts max |diff| == 0 and any nonzero difference is a
+// kernel bug, never rounding.
 //
 // Layout: row-major with the row stride padded up to kQuantPad elements
 // and the padding ZEROED. Padded zeros multiply to zero and add nothing,
@@ -102,7 +102,7 @@ namespace qkernels {
 /// += x (m x k int32 packed) * w^T with w (n x k int16 packed).
 /// Every backend is bitwise identical (exact integer arithmetic); the
 /// caller guarantees no int64 overflow (pack-time bound analysis).
-/// kQuantized requests resolve to the same dispatch as kSimd.
+/// kReference runs the scalar reference; kQuantized the ISA dispatch.
 void qgemm_nt(std::int64_t* c, const Int32Matrix& x, const Int16Matrix& w,
               KernelBackend backend);
 
@@ -113,9 +113,8 @@ void qgemm_nt_reference(std::int64_t* c, const Int32Matrix& x,
 }  // namespace qkernels
 
 // ---------------------------------------------------------------------
-// Bitwise kernel-equivalence harness. Unlike the float harness
-// (verify_kernels.hpp) this one admits NO tolerance: integer kernels
-// must agree to the last bit on every shape, or the backend is broken.
+// Bitwise kernel-equivalence harness: integer kernels must agree to the
+// last bit on every shape, or the backend is broken.
 // ---------------------------------------------------------------------
 
 struct QuantShape {

@@ -23,8 +23,7 @@ linalg::Vector activate(Activation a, const linalg::Vector& x) {
   return out;
 }
 
-void activate(Activation a, const linalg::Matrix& z, linalg::Matrix& out,
-              linalg::KernelBackend backend) {
+void activate(Activation a, const linalg::Matrix& z, linalg::Matrix& out) {
   out.resize(z.rows(), z.cols());
   const double* in = z.data();
   double* o = out.data();
@@ -34,10 +33,6 @@ void activate(Activation a, const linalg::Matrix& z, linalg::Matrix& out,
       for (std::size_t i = 0; i < n; ++i) o[i] = in[i];
       return;
     case Activation::kRelu:
-      if (backend == linalg::KernelBackend::kSimd) {
-        linalg::kernels::simd_relu(in, o, n);
-        return;
-      }
       for (std::size_t i = 0; i < n; ++i) o[i] = in[i] > 0.0 ? in[i] : 0.0;
       return;
     case Activation::kTanh:

@@ -28,12 +28,8 @@ double activate(Activation a, double x);
 linalg::Vector activate(Activation a, const linalg::Vector& x);
 /// Batched variant (one sample per row); `out` is resized and its storage
 /// reused across calls. The activation dispatch is hoisted out of the
-/// element loop. The kSimd backend vectorizes ReLU explicitly (bitwise
-/// equal to the scalar loop — max with zero does not reassociate);
-/// smooth activations run the same scalar libm loops on both backends.
-void activate(Activation a, const linalg::Matrix& z, linalg::Matrix& out,
-              linalg::KernelBackend backend =
-                  linalg::KernelBackend::kReference);
+/// element loop.
+void activate(Activation a, const linalg::Matrix& z, linalg::Matrix& out);
 
 /// Derivative with respect to the pre-activation value.
 double activate_derivative(Activation a, double x);

@@ -20,13 +20,12 @@ linalg::Vector DenseLayer::forward(const linalg::Vector& x) const {
 }
 
 void DenseLayer::pre_activation_batch(const linalg::Matrix& x,
-                                      linalg::Matrix& z,
-                                      linalg::KernelBackend backend) const {
+                                      linalg::Matrix& z) const {
   require(x.cols() == in_size(),
           "DenseLayer::pre_activation_batch: dimension mismatch");
   z.resize(x.rows(), out_size());
   z.fill(0.0);
-  z.add_gemm_nt(1.0, x, weights_, backend);
+  z.add_gemm_nt(1.0, x, weights_);
   // Bias after the full W x accumulation, matching the per-sample
   // rounding (z = matvec(x); z += biases).
   const double* b = biases_.data();

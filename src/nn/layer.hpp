@@ -28,13 +28,10 @@ class DenseLayer {
   linalg::Vector pre_activation(const linalg::Vector& x) const;
 
   /// Batched pre-activation: Z = X W^T + 1 b^T, one sample per row of
-  /// `x`. `z` is resized, reusing its storage across calls. With the
-  /// default kReference backend each row is bitwise identical to
-  /// pre_activation() on that row; kSimd reassociates the contraction
-  /// and is tolerance-checked instead (linalg/verify_kernels.hpp).
-  void pre_activation_batch(const linalg::Matrix& x, linalg::Matrix& z,
-                            linalg::KernelBackend backend =
-                                linalg::KernelBackend::kReference) const;
+  /// `x`. `z` is resized, reusing its storage across calls. Each row is
+  /// bitwise identical to pre_activation() on that row.
+  void pre_activation_batch(const linalg::Matrix& x,
+                            linalg::Matrix& z) const;
 
   /// Post-activation act(W x + b).
   linalg::Vector forward(const linalg::Vector& x) const;

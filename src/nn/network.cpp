@@ -94,11 +94,13 @@ linalg::Matrix Network::forward_batch(const linalg::Matrix& x,
   require(!layers_.empty(), "Network::forward_batch: empty network");
   require(x.cols() == input_size(),
           "Network::forward_batch: input width mismatch");
+  require(backend != linalg::KernelBackend::kQuantized,
+          "Network::forward_batch: kQuantized is not a float backend");
   linalg::Matrix cur = x;
   linalg::Matrix z;
   for (const auto& l : layers_) {
-    l.pre_activation_batch(cur, z, backend);
-    activate(l.activation(), z, cur, backend);
+    l.pre_activation_batch(cur, z);
+    activate(l.activation(), z, cur);
   }
   return cur;
 }

@@ -71,13 +71,10 @@ class Network {
   linalg::Vector forward(const linalg::Vector& x) const;
 
   /// Batched inference: one sample per row; returns B x output_size().
-  /// Each layer is one GEMM instead of B matvecs. With the default
-  /// kReference backend every output row is bitwise identical to
-  /// forward() on the corresponding input row; the opt-in kSimd backend
-  /// (serving hot path) is tolerance-checked against kReference by the
-  /// harness in linalg/verify_kernels.hpp instead. Training and
-  /// verification call sites always use kReference — their determinism
-  /// and encoding-faithfulness guarantees depend on its rounding.
+  /// Each layer is one GEMM instead of B matvecs, and every output row is
+  /// bitwise identical to forward() on the corresponding input row. The
+  /// float arithmetic is kReference; kQuantized throws (the integer
+  /// engine is nn::QuantizedEngine).
   linalg::Matrix forward_batch(const linalg::Matrix& x,
                                linalg::KernelBackend backend =
                                    linalg::KernelBackend::kReference) const;

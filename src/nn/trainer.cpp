@@ -26,9 +26,8 @@ double grad_norm_inf(const Gradients& g) {
 }
 
 /// Scales the summed batch gradient to a mean, clips it, and applies one
-/// optimizer step. Shared verbatim by the sequential and data-parallel
-/// paths: once the reduced `batch_grads` are bitwise equal, the updated
-/// parameters (and Adam moments) are too.
+/// optimizer step on the calling thread: once the reduced `batch_grads`
+/// are bitwise equal, the updated parameters (and Adam moments) are too.
 void apply_update(const TrainConfig& config, Network& net,
                   OptimizerState& state, Gradients& batch_grads,
                   std::size_t batch) {
@@ -133,11 +132,11 @@ double Trainer::train(Network& net, const Loss& loss,
     state.adam_step = net.zero_gradients();
   }
 
-  // Scratch shared by both engines, reused across every batch of every
-  // epoch: the whole minibatch runs through each layer as one GEMM
-  // instead of B matvecs, gradients accumulate into one preallocated
-  // Gradients, and the loss/regularizer vectors are hoisted so the
-  // epoch loop performs no per-batch allocation once warm.
+  // Scratch reused across every batch of every epoch: the whole
+  // minibatch runs through each layer as one GEMM instead of B matvecs,
+  // gradients accumulate into one preallocated Gradients, and the
+  // loss/regularizer vectors are hoisted so the epoch loop performs no
+  // per-batch allocation once warm.
   const std::size_t in_dim = net.input_size();
   const std::size_t out_dim = net.output_size();
   Gradients batch_grads = net.zero_gradients();
@@ -147,8 +146,8 @@ double Trainer::train(Network& net, const Loss& loss,
 
   // Per-sample loss (+ optional regularizer): returns the sample's loss
   // and leaves dL/d(output) in `out_grad`. Always invoked on the calling
-  // thread in ascending global sample order — both engines produce the
-  // same loss-sum chain, and user-provided Loss / OutputRegularizer
+  // thread in ascending global sample order — the same loss-sum chain at
+  // every worker count, and user-provided Loss / OutputRegularizer
   // callables never need to be thread-safe.
   auto sample_loss_grad = [&](const double* output_row,
                               std::size_t idx) -> double {
@@ -164,72 +163,16 @@ double Trainer::train(Network& net, const Loss& loss,
     return sample_loss;
   };
 
-  const bool parallel = config_.force_parallel_path || config_.num_workers > 1;
-
-  if (!parallel) {
-    // Sequential engine: one fused pass over each batch.
-    linalg::Matrix batch_x, out_grads;
-    BatchTrace trace;
-    std::vector<linalg::Matrix> deltas;
-
-    double last_epoch_loss = 0.0;
-    for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-      shuffle_rng.shuffle(order);
-      double epoch_loss = 0.0;
-
-      for (std::size_t start = 0; start < order.size();
-           start += config_.batch_size) {
-        const std::size_t end =
-            std::min(order.size(), start + config_.batch_size);
-        const std::size_t batch = end - start;
-        double batch_loss = 0.0;
-
-        batch_x.resize(batch, in_dim);
-        for (std::size_t b = 0; b < batch; ++b) {
-          const linalg::Vector& x = inputs[order[start + b]];
-          require(x.size() == in_dim, "Trainer: input width mismatch");
-          std::copy(x.data(), x.data() + in_dim, batch_x.data() + b * in_dim);
-        }
-        net.forward_trace_batch(batch_x, trace);
-        const linalg::Matrix& outputs = trace.post_activations.back();
-
-        // Losses (and the optional regularizer) stay per-sample — they
-        // are O(out_dim) next to the batched linear algebra.
-        out_grads.resize(batch, out_dim);
-        for (std::size_t b = 0; b < batch; ++b) {
-          batch_loss +=
-              sample_loss_grad(outputs.data() + b * out_dim, order[start + b]);
-          std::copy(out_grad.data(), out_grad.data() + out_dim,
-                    out_grads.data() + b * out_dim);
-        }
-
-        batch_grads.zero();
-        net.backward_deltas_batch(trace, out_grads, deltas);
-        for (std::size_t li = 0; li < net.num_layers(); ++li) {
-          net.accumulate_layer_gradients(trace, deltas[li], li, batch_grads);
-        }
-        epoch_loss += batch_loss;
-        apply_update(config_, net, state, batch_grads, batch);
-      }
-
-      last_epoch_loss = epoch_loss / static_cast<double>(inputs.size());
-      if (config_.on_epoch) {
-        config_.on_epoch(EpochStats{epoch, last_epoch_loss});
-      }
-    }
-    return last_epoch_loss;
-  }
-
-  // Data-parallel engine. Each batch is split into `workers` contiguous
-  // row shards; concatenating the shards in ascending order reproduces
-  // the batch exactly, so:
+  // Each batch is split into `workers` contiguous row shards;
+  // concatenating the shards in ascending order reproduces the batch
+  // exactly, so:
   //   Phase F (parallel, one task per shard): pack + forward-trace the
   //     shard rows. Every forward kernel computes each output row from
   //     its own input row only, so shard rows are bitwise identical to
   //     the same rows of a full-batch forward.
   //   Loss (caller, sequential): per-sample losses/gradients in global
-  //     ascending order — the identical floating-point sum chain as the
-  //     sequential engine, and no thread-safety demands on user code.
+  //     ascending order — one floating-point sum chain for any shard
+  //     structure, and no thread-safety demands on user code.
   //   Phase D (parallel, one task per shard): per-layer dL/dZ deltas,
   //     again row-independent.
   //   Phase R (parallel, one task per LAYER): chain
@@ -238,8 +181,8 @@ double Trainer::train(Network& net, const Loss& loss,
   //     with no blocking over the batch dimension, so the chained shard
   //     reduction is bitwise identical to one full-batch accumulation —
   //     for ANY shard structure, hence identical at every worker count.
-  // The optimizer step then runs on the caller, shared with the
-  // sequential engine.
+  // The optimizer step then runs on the caller. At one worker the pool
+  // runs every task inline, so the same code is the sequential path.
   const std::size_t workers = std::max<std::size_t>(1, config_.num_workers);
   TaskPool pool(workers);
   std::vector<ShardScratch> shards(workers);

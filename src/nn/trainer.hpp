@@ -42,17 +42,13 @@ struct TrainConfig {
   OutputRegularizer regularizer;  // optional
   double regularizer_weight = 1.0;
   std::function<void(const EpochStats&)> on_epoch;  // optional
-  /// Data-parallel workers: > 1 shards every mini-batch into contiguous
+  /// Data-parallel workers: every mini-batch is sharded into contiguous
   /// per-worker row ranges that run forward/backward concurrently, with
   /// gradients reduced in fixed ascending shard order. Final weights,
   /// per-epoch losses and optimizer state are bitwise identical for any
-  /// worker count and to the sequential path (see DESIGN.md "Parallel
-  /// training & data generation").
+  /// worker count (see DESIGN.md "Parallel training & data generation");
+  /// one worker runs every task inline on the calling thread.
   std::size_t num_workers = 1;
-  /// Test/bench knob: run the sharded data-parallel engine even at
-  /// num_workers == 1, so its overhead against the fused sequential path
-  /// is measurable. Results are bitwise identical either way.
-  bool force_parallel_path = false;
 };
 
 /// Trains a network in place. Stateless between calls except through the

@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "linalg/qmatrix.hpp"
-#include "linalg/verify_kernels.hpp"
 #include "nn/qengine.hpp"
 
 namespace safenn::serve {
@@ -15,35 +14,6 @@ double seconds_since(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
 }
 
-/// (batch, in, out) per layer: the exact GEMM shapes `net` runs at this
-/// batch size, pinned on top of a kernel harness's randomized sweep.
-/// Float networks and quantized payloads expose the same layer shape API.
-template <typename Shape, typename Net>
-std::vector<Shape> pinned_shapes(const Net& net, std::size_t batch) {
-  std::vector<Shape> shapes;
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    shapes.push_back(
-        {batch, net.layer(li).in_size(), net.layer(li).out_size()});
-  }
-  return shapes;
-}
-
-bool simd_admitted(const nn::Network& net, std::size_t batch) {
-  linalg::KernelVerifyConfig config;
-  config.extra_shapes = pinned_shapes<linalg::GemmShape>(net, batch);
-  const linalg::KernelReport report =
-      linalg::verify_kernel_backend(linalg::KernelBackend::kSimd, config);
-  if (report.pass) {
-    log_info("serve: simd kernel backend admitted (",
-             linalg::to_string(report.isa), ", worst rms ", report.worst_rms,
-             " <= tolerance ", report.worst_tolerance, ")");
-    return true;
-  }
-  log_warn("serve: simd kernel backend REJECTED by tolerance harness (",
-           report.summary(), "); falling back to reference kernels");
-  return false;
-}
-
 /// The integer kernel the packed engine may run: the SIMD dispatch when
 /// it is bitwise equal to the scalar reference on the payload's shapes.
 /// Integer kernels carry no tolerance: any violation demotes only the
@@ -51,8 +21,13 @@ bool simd_admitted(const nn::Network& net, std::size_t batch) {
 /// — the quantized backend itself stays admitted.
 linalg::KernelBackend quantized_kernel(const nn::QuantizedNetwork& qnet,
                                        std::size_t batch) {
+  // The payload's exact (batch, in, out) GEMM shapes, pinned on top of
+  // the harness's randomized sweep.
   linalg::QuantKernelVerifyConfig config;
-  config.extra_shapes = pinned_shapes<linalg::QuantShape>(qnet, batch);
+  for (std::size_t li = 0; li < qnet.num_layers(); ++li) {
+    config.extra_shapes.push_back(
+        {batch, qnet.layer(li).in_size(), qnet.layer(li).out_size()});
+  }
   const linalg::QuantKernelReport report =
       linalg::verify_quantized_kernels(config);
   if (report.pass) {
@@ -73,13 +48,7 @@ std::shared_ptr<const registry::ModelSnapshot> admit_snapshot(
     std::size_t max_batch) {
   using linalg::KernelBackend;
   const std::size_t batch = std::max<std::size_t>(1, max_batch);
-  KernelBackend backend = requested;
-  if (requested == KernelBackend::kSimd &&
-      !simd_admitted(artifact.network, batch)) {
-    backend = KernelBackend::kReference;
-  }
   if (requested == KernelBackend::kQuantized) {
-    backend = KernelBackend::kReference;
     if (!artifact.quantized.has_value()) {
       log_warn("serve: kQuantized requested but artifact ", artifact.version,
                " carries no quantized payload; serving float reference "
@@ -98,7 +67,8 @@ std::shared_ptr<const registry::ModelSnapshot> admit_snapshot(
       }
     }
   }
-  return std::make_shared<const registry::ModelSnapshot>(artifact, backend);
+  return std::make_shared<const registry::ModelSnapshot>(
+      artifact, KernelBackend::kReference);
 }
 
 void ShieldedEngine::predict_means(const linalg::Matrix& scenes,
@@ -121,7 +91,7 @@ void ShieldedEngine::predict_means(const linalg::Matrix& scenes,
     return;
   }
   const std::vector<nn::GaussianMixture> mixtures =
-      predictor.predict_batch(scenes, snapshot_.backend());
+      predictor.predict_batch(scenes);
   for (std::size_t r = 0; r < scenes.rows(); ++r) {
     means[r] = mixtures[r].mean();
   }

@@ -26,12 +26,7 @@ namespace safenn::serve {
 /// The admission gate: materializes `artifact` as a snapshot whose
 /// backend is what this host may actually serve with. Re-run on every
 /// hot reload — admission is per artifact, not per process.
-///   kReference passes through.
-///   kSimd is admitted only after the float tolerance harness
-///     (linalg/verify_kernels.hpp) passes with the network's own
-///     (max_batch, in, out) shapes pinned; on any violation it degrades
-///     to kReference (logged), keeping the deployed artifact traceable to
-///     the verified reference kernels.
+///   kReference, the one float arithmetic, passes through.
 ///   kQuantized needs a quantized payload that passes the packing
 ///     admission analysis (int16 weights / int32 activations / int64
 ///     accumulator bounds over the declared input domain); the engine is

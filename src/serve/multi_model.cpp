@@ -397,8 +397,8 @@ linalg::KernelBackend MultiModelServer::reload(
     const std::string& model_id, const registry::ModelArtifact& artifact) {
   std::lock_guard<std::mutex> lock(reload_mu_);
   ModelTable::Slot& slot = known_slot(table_, model_id, "reload");
-  // Per-artifact re-gating: kSimd's tolerance gate / kQuantized's bitwise
-  // gate never survive a swap.
+  // Per-artifact re-gating: kQuantized's payload and bitwise kernel gate
+  // never survive a swap.
   std::shared_ptr<const registry::ModelSnapshot> next =
       admit_snapshot(artifact, config_.backend, config_.pool.max_batch);
   const linalg::KernelBackend backend = next->backend();

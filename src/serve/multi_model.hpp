@@ -34,8 +34,8 @@
 //
 //  * Per-model hot swap, per-model backend re-gating. Each slot is its
 //    own LiveModel: reload(model_id, artifact) re-runs admit_snapshot
-//    (float tolerance harness / quantized bitwise harness) for the new
-//    artifact and swaps only that slot; in-flight batches of every model
+//    (quantized payload + bitwise kernel harness) for the new artifact
+//    and swaps only that slot; in-flight batches of every model
 //    finish on the snapshot they pinned. Stop closes every queue, lets
 //    the workers drain what is already enqueued (no request is ever
 //    dropped with a broken promise), then joins.
@@ -233,10 +233,9 @@ struct MultiModelConfig {
   WorkerPoolConfig pool;
   /// Per-request service deadline from submit time; <= 0 means none.
   double deadline_seconds = 0.0;
-  /// Requested kernel backend for the batched forward hot path, gated
-  /// per artifact by admit_snapshot at construction and on every reload.
-  /// Trainer/verifier paths are unaffected — they always run the
-  /// reference kernels.
+  /// Requested arithmetic for the batched forward hot path: kReference
+  /// (float) or kQuantized, gated per artifact by admit_snapshot at
+  /// construction and on every reload.
   linalg::KernelBackend backend = linalg::KernelBackend::kReference;
   /// Overload behavior of submit(); see AdmissionPolicy.
   AdmissionPolicy admission = AdmissionPolicy::kRejectWhenFull;

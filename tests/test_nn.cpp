@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
-#include "linalg/verify_kernels.hpp"
 #include "nn/loss.hpp"
 #include "nn/mdn.hpp"
 #include "nn/network.hpp"
@@ -887,8 +886,8 @@ struct TrainRun {
   double final_loss = 0.0;
 };
 
-TrainRun run_parallel_training(std::size_t workers, bool force_parallel,
-                               Optimizer opt, bool with_regularizer,
+TrainRun run_parallel_training(std::size_t workers, Optimizer opt,
+                               bool with_regularizer,
                                std::size_t samples = 83,
                                std::size_t batch_size = 16) {
   Rng rng(1234);
@@ -905,7 +904,6 @@ TrainRun run_parallel_training(std::size_t workers, bool force_parallel,
   cfg.optimizer = opt;
   cfg.grad_clip = 0.5;  // tight enough to trigger on some batches
   cfg.num_workers = workers;
-  cfg.force_parallel_path = force_parallel;
   if (with_regularizer) {
     cfg.regularizer_weight = 2.0;
     cfg.regularizer = [](const Vector&, const Vector& out, Vector& grad) {
@@ -953,15 +951,14 @@ class TrainerParallel : public ::testing::TestWithParam<Optimizer> {};
 
 TEST_P(TrainerParallel, WeightsAndLossesBitwiseAcrossWorkerCounts) {
   const Optimizer opt = GetParam();
-  // Reference: the fused sequential engine. (Matching it after 4 Adam
-  // epochs forces the optimizer moments to match bit for bit at every
-  // intermediate step too.)
+  // Reference: one worker, every task inline on the calling thread.
+  // (Matching it after 4 Adam epochs forces the optimizer moments to
+  // match bit for bit at every intermediate step too.)
   const TrainRun sequential =
-      run_parallel_training(1, false, opt, /*with_regularizer=*/false);
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    const TrainRun parallel = run_parallel_training(
-        workers, /*force_parallel=*/true, opt, /*with_regularizer=*/false);
+      run_parallel_training(1, opt, /*with_regularizer=*/false);
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    const TrainRun parallel =
+        run_parallel_training(workers, opt, /*with_regularizer=*/false);
     expect_identical_runs(sequential, parallel,
                           "workers=" + std::to_string(workers));
   }
@@ -974,10 +971,10 @@ INSTANTIATE_TEST_SUITE_P(Optimizers, TrainerParallel,
 
 TEST(TrainerParallel, RegularizedRunIsBitwiseIdenticalAcrossWorkers) {
   const TrainRun sequential =
-      run_parallel_training(1, false, Optimizer::kAdam, true);
+      run_parallel_training(1, Optimizer::kAdam, true);
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
     const TrainRun parallel = run_parallel_training(
-        workers, true, Optimizer::kAdam, /*with_regularizer=*/true);
+        workers, Optimizer::kAdam, /*with_regularizer=*/true);
     expect_identical_runs(sequential, parallel,
                           "regularized workers=" + std::to_string(workers));
   }
@@ -987,48 +984,10 @@ TEST(TrainerParallel, MoreWorkersThanBatchRowsHandlesEmptyShards) {
   // batch_size 3 with 4 workers leaves at least one shard empty every
   // batch (and the last batch of 83 % 3 = 2 rows leaves two empty).
   const TrainRun sequential = run_parallel_training(
-      1, false, Optimizer::kAdam, false, /*samples=*/83, /*batch_size=*/3);
+      1, Optimizer::kAdam, false, /*samples=*/83, /*batch_size=*/3);
   const TrainRun parallel = run_parallel_training(
-      4, true, Optimizer::kAdam, false, /*samples=*/83, /*batch_size=*/3);
+      4, Optimizer::kAdam, false, /*samples=*/83, /*batch_size=*/3);
   expect_identical_runs(sequential, parallel, "workers>batch");
-}
-
-TEST(SimdForward, BatchWithinToleranceOfReference) {
-  // The kSimd backend reassociates the layer contractions, so the batched
-  // forward is held to the summed per-layer dot tolerance (1-Lipschitz
-  // activations do not amplify it) instead of bitwise equality.
-  Rng rng(90);
-  Network net = Network::make_mlp({12, 17, 9, 5}, Activation::kRelu,
-                                  Activation::kTanh, rng);
-  const std::vector<Vector> xs = random_inputs(rng, 33, 12);  // odd batch
-  const Matrix x = pack_rows(xs);
-  const Matrix ref = net.forward_batch(x);
-  const Matrix simd = net.forward_batch(x, linalg::KernelBackend::kSimd);
-  ASSERT_EQ(simd.rows(), ref.rows());
-  double tolerance = 0.0;
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    tolerance += linalg::dot_tolerance(net.layer(li).in_size());
-  }
-  EXPECT_LE(linalg::rms_range(ref.data(), simd.data(), ref.size()),
-            tolerance);
-}
-
-TEST(SimdForward, ReluBatchActivationIsExact) {
-  // ReLU is a max against zero — no rounding, so the SIMD activation must
-  // match the scalar one exactly even though the GEMMs only match within
-  // tolerance.
-  Rng rng(91);
-  Matrix z(7, 13);
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    z.data()[i] = rng.uniform(-1.0, 1.0);
-  }
-  z.data()[0] = -0.0;
-  Matrix ref, simd;
-  activate(Activation::kRelu, z, ref);
-  activate(Activation::kRelu, z, simd, linalg::KernelBackend::kSimd);
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(ref.data()[i], simd.data()[i]) << "index " << i;
-  }
 }
 
 TEST(Network, GradientsZeroResets) {
@@ -1139,7 +1098,6 @@ TEST(QuantizedEngine, PackedForwardBitwiseEqualsScalarReference) {
                                   Activation::kIdentity, rng);
   QuantizedNetwork q = QuantizedNetwork::quantize(net, 10);
   for (const auto backend : {linalg::KernelBackend::kReference,
-                             linalg::KernelBackend::kSimd,
                              linalg::KernelBackend::kQuantized}) {
     const QuantizedEngine engine(q, 2.0, backend);
     for (const std::size_t batch : {std::size_t{1}, std::size_t{7},

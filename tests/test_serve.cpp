@@ -13,7 +13,6 @@
 
 #include "common/rng.hpp"
 #include "highway/safety_rules.hpp"
-#include "linalg/verify_kernels.hpp"
 #include "registry/artifact.hpp"
 #include "serve/metrics.hpp"
 #include "serve/multi_model.hpp"
@@ -286,15 +285,14 @@ registry::ModelArtifact make_serve_artifact(const std::string& version,
   return artifact;
 }
 
-/// A snapshot of make_serve_artifact's model served with `backend`,
-/// ungated: the engine tests pick the arithmetic directly. The snapshot
-/// owns its monitor, whose stats() the tests read.
-registry::ModelSnapshot make_serve_snapshot(
-    double lateral_bias, const verify::InputRegion& region,
-    double threshold = 1.0,
-    linalg::KernelBackend backend = linalg::KernelBackend::kReference) {
+/// A snapshot of make_serve_artifact's model on the float kernels. The
+/// snapshot owns its monitor, whose stats() the tests read.
+registry::ModelSnapshot make_serve_snapshot(double lateral_bias,
+                                            const verify::InputRegion& region,
+                                            double threshold = 1.0) {
   return registry::ModelSnapshot(
-      make_serve_artifact("v1", lateral_bias, region, threshold), backend);
+      make_serve_artifact("v1", lateral_bias, region, threshold),
+      linalg::KernelBackend::kReference);
 }
 
 // -------------------------------------------------------------------------
@@ -647,25 +645,6 @@ TEST_F(EngineFixture, HotReloadUnderLiveTrafficKeepsShieldContinuity) {
   }
 }
 
-TEST_F(EngineFixture, ReloadRerunsBackendAdmissionPerArtifact) {
-  const registry::ModelArtifact v1 = make_serve_artifact("v1", 0.6, region_);
-  const registry::ModelArtifact v2 = make_serve_artifact("v2", 1.2, region_);
-  MultiModelConfig cfg;
-  cfg.pool.workers = 1;
-  cfg.backend = linalg::KernelBackend::kSimd;
-  MultiModelServer server({{"m", v1}}, cfg);
-  // Whatever the gate decided at construction it must re-decide at
-  // reload: the returned backend matches the admission verdict for the
-  // new artifact, and the live snapshot reports it.
-  const linalg::KernelBackend resolved =
-      admit_snapshot(v2, linalg::KernelBackend::kSimd, cfg.pool.max_batch)
-          ->backend();
-  EXPECT_EQ(server.reload("m", v2), resolved);
-  EXPECT_EQ(server.backend("m"), resolved);
-  EXPECT_EQ(server.version("m"), "v2");
-  server.stop();
-}
-
 // -------------------------------------------------------------------------
 // Admission control.
 // -------------------------------------------------------------------------
@@ -933,84 +912,6 @@ TEST_F(EngineFixture, MultiModelShedIsFleetLevelAtWatermark) {
 // Metrics.
 // -------------------------------------------------------------------------
 
-TEST_F(EngineFixture, SimdBackendGateAdmitsOrFallsBackToReference) {
-  const registry::ModelArtifact artifact =
-      make_serve_artifact("v1", 1.0, region_);
-  // kReference passes through the gate untouched.
-  EXPECT_EQ(admit_snapshot(artifact, linalg::KernelBackend::kReference, 16)
-                ->backend(),
-            linalg::KernelBackend::kReference);
-  // kSimd must resolve to whatever the tolerance harness says on this
-  // host — and the harness itself must agree with the gate's verdict.
-  const linalg::KernelBackend resolved =
-      admit_snapshot(artifact, linalg::KernelBackend::kSimd, 16)->backend();
-  const linalg::KernelReport report =
-      linalg::verify_kernel_backend(linalg::KernelBackend::kSimd);
-  EXPECT_EQ(resolved, report.pass ? linalg::KernelBackend::kSimd
-                                  : linalg::KernelBackend::kReference);
-}
-
-TEST_F(EngineFixture, SimdServeBatchMatchesReferenceDecisions) {
-  const auto scenes = make_scene_set(encoder_, region_, 33, 7);
-  const Clock::time_point now = Clock::now();
-  std::vector<ServeRequest> requests;
-  requests.reserve(scenes.size());
-  for (std::size_t i = 0; i < scenes.size(); ++i) {
-    requests.push_back(make_request(i, scenes[i]));
-  }
-
-  const registry::ModelSnapshot ref = make_serve_snapshot(1.0, region_, 0.5);
-  ShieldedEngine ref_engine(ref);
-  const std::vector<ServeResponse> expected =
-      ref_engine.serve_batch(requests, now);
-
-  const registry::ModelSnapshot simd_snapshot = make_serve_snapshot(
-      1.0, region_, 0.5, linalg::KernelBackend::kSimd);
-  ShieldedEngine simd_engine(simd_snapshot);
-  const std::vector<ServeResponse> simd =
-      simd_engine.serve_batch(requests, now);
-
-  // Guard decisions must agree and actions must coincide to far below
-  // any actuation-relevant precision (the forward outputs differ only by
-  // the reassociated contraction rounding).
-  ASSERT_EQ(simd.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(simd[i].outcome, expected[i].outcome) << i;
-    EXPECT_EQ(simd[i].intervened, expected[i].intervened) << i;
-    ASSERT_EQ(simd[i].action.size(), expected[i].action.size());
-    for (std::size_t d = 0; d < expected[i].action.size(); ++d) {
-      EXPECT_NEAR(simd[i].action[d], expected[i].action[d], 1e-9) << i;
-    }
-  }
-  EXPECT_EQ(simd_snapshot.monitor().stats().interventions,
-            ref.monitor().stats().interventions);
-}
-
-TEST_F(EngineFixture, ServerWithSimdConfigResolvesGateAndServes) {
-  MultiModelConfig config;
-  config.pool.workers = 2;
-  config.pool.max_batch = 8;
-  config.backend = linalg::KernelBackend::kSimd;
-  MultiModelServer server({{"m", make_serve_artifact("v1", 1.0, region_)}},
-                          config);
-  // Whatever the gate decided, the server must report it and serve.
-  const linalg::KernelBackend active = server.backend("m");
-  EXPECT_TRUE(active == linalg::KernelBackend::kSimd ||
-              active == linalg::KernelBackend::kReference);
-  const auto scenes = make_scene_set(encoder_, region_, 24, 13);
-  std::vector<std::future<ServeResponse>> futures;
-  futures.reserve(scenes.size());
-  for (const Vector& scene : scenes) {
-    futures.push_back(server.submit_blocking("m", scene));
-  }
-  for (std::future<ServeResponse>& f : futures) {
-    const ServeResponse response = f.get();
-    EXPECT_NE(response.outcome, ServeOutcome::kRejected);
-    EXPECT_FALSE(response.action.size() == 0);
-  }
-  server.stop();
-}
-
 TEST(Metrics, HistogramPercentilesBracketSamples) {
   LatencyHistogram h;
   EXPECT_EQ(h.percentile_ns(0.5), 0.0);
@@ -1219,6 +1120,23 @@ TEST_F(EngineFixture, QuantizedAdmissionFallsBackWhenPackingFails) {
   }
   server.stop();
   EXPECT_EQ(server.metrics().completed(), scenes.size());
+}
+
+TEST_F(EngineFixture, ReloadRerunsBackendAdmissionPerArtifact) {
+  const registry::ModelArtifact v1 =
+      make_quantized_serve_artifact("v1", 0.6, region_);
+  const registry::ModelArtifact v2 = make_serve_artifact("v2", 1.2, region_);
+  MultiModelConfig cfg;
+  cfg.pool.workers = 1;
+  cfg.backend = linalg::KernelBackend::kQuantized;
+  MultiModelServer server({{"m", v1}}, cfg);
+  EXPECT_EQ(server.backend("m"), linalg::KernelBackend::kQuantized);
+  // v2 carries no quantized payload: the gate must re-decide at reload
+  // instead of inheriting v1's verdict, and the live snapshot reports it.
+  EXPECT_EQ(server.reload("m", v2), linalg::KernelBackend::kReference);
+  EXPECT_EQ(server.backend("m"), linalg::KernelBackend::kReference);
+  EXPECT_EQ(server.version("m"), "v2");
+  server.stop();
 }
 
 TEST_F(EngineFixture, QuantizedServeBatchBitwiseMatchesScalarReplay) {

@@ -954,3 +954,151 @@ TEST(InputSplitParallel, ParallelProveVerdictsMatchSequential) {
 
 }  // namespace
 }  // namespace safenn::verify
+
+// ---------------------------------------------------------------------------
+// Pinned bits (appended suite). FNV-1a hashes of what the float kernels
+// compute — batched forwards, SGD and momentum training at 1 and 2
+// workers, a symbolic pass and an input-split maximization — recorded
+// from the default Release build. Weights and inputs come from
+// Rng::uniform and the nets are ReLU/identity trained without Adam, so no
+// libm call enters a hash: every build of the one float arithmetic (SIMD
+// kernels on or off, -march=native, sanitizers) must reproduce them.
+// ---------------------------------------------------------------------------
+
+#include "common/hash.hpp"
+#include "nn/loss.hpp"
+#include "nn/trainer.hpp"
+
+namespace safenn::verify {
+namespace {
+
+/// A ReLU MLP (identity output) with Rng::uniform weights and biases;
+/// make_mlp draws its initialization through libm.
+Network uniform_relu_net(std::uint64_t seed,
+                         const std::vector<std::size_t>& widths) {
+  Rng rng(seed);
+  Network net;
+  for (std::size_t l = 0; l + 1 < widths.size(); ++l) {
+    nn::DenseLayer layer(widths[l], widths[l + 1],
+                         l + 2 < widths.size() ? Activation::kRelu
+                                               : Activation::kIdentity);
+    linalg::Matrix& w = layer.weights();
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w.data()[i] = rng.uniform(-0.5, 0.5);
+    }
+    for (std::size_t i = 0; i < layer.biases().size(); ++i) {
+      layer.biases()[i] = rng.uniform(-0.1, 0.1);
+    }
+    net.add_layer(std::move(layer));
+  }
+  return net;
+}
+
+std::vector<Vector> uniform_rows(Rng& rng, std::size_t n, std::size_t dim) {
+  std::vector<Vector> rows(n, Vector(dim));
+  for (Vector& row : rows) {
+    for (std::size_t d = 0; d < dim; ++d) row[d] = rng.uniform(-1.0, 1.0);
+  }
+  return rows;
+}
+
+class BitHash {
+ public:
+  void add(double x) { h_.update(&x, sizeof x); }
+  void add(const double* p, std::size_t n) { h_.update(p, n * sizeof *p); }
+  void add(const linalg::Matrix& m) { add(m.data(), m.size()); }
+  void add(const Vector& v) { add(v.data(), v.size()); }
+  void add(const Network& net) {
+    for (std::size_t li = 0; li < net.num_layers(); ++li) {
+      add(net.layer(li).weights());
+      add(net.layer(li).biases());
+    }
+  }
+  void add(const std::vector<Interval>& box) {
+    for (const Interval& iv : box) {
+      add(iv.lo);
+      add(iv.hi);
+    }
+  }
+  std::string hex() const { return hex64(h_.digest()); }
+
+ private:
+  Fnv1a64 h_;
+};
+
+TEST(Bits, ForwardBatchIsPinned) {
+  const Network net = uniform_relu_net(17, {13, 24, 17, 6});
+  const std::pair<std::size_t, const char*> expected[] = {
+      {1, "b0ca6aa84249bb24"},
+      {5, "dc97680042e69e64"},
+      {16, "bff689f5b068685b"},
+      {33, "1320c1bbd594f82a"}};
+  Rng rng(18);
+  for (const auto& [batch, hex] : expected) {
+    linalg::Matrix x(batch, 13);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = rng.uniform(-1.0, 1.0);
+    }
+    BitHash h;
+    h.add(net.forward_batch(x));
+    EXPECT_EQ(h.hex(), hex) << "batch " << batch;
+  }
+}
+
+TEST(Bits, SgdAndMomentumTrainingArePinnedAtOneAndTwoWorkers) {
+  const std::pair<nn::Optimizer, const char*> expected[] = {
+      {nn::Optimizer::kSgd, "b52dada5dd4e0202"},
+      {nn::Optimizer::kMomentum, "6d0beffa6d4fc959"}};
+  for (const auto& [optimizer, hex] : expected) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+      Network net = uniform_relu_net(19, {9, 21, 14, 3});
+      Rng rng(20);
+      const std::vector<Vector> xs = uniform_rows(rng, 70, 9);
+      const std::vector<Vector> ys = uniform_rows(rng, 70, 3);
+      nn::TrainConfig cfg;
+      cfg.epochs = 2;
+      cfg.batch_size = 16;
+      cfg.learning_rate = 0.05;
+      cfg.optimizer = optimizer;
+      cfg.grad_clip = 0.5;
+      cfg.num_workers = workers;
+      BitHash h;
+      cfg.on_epoch = [&h](const nn::EpochStats& s) { h.add(s.mean_loss); };
+      h.add(nn::Trainer(cfg).train(net, nn::MseLoss{}, xs, ys));
+      h.add(net);
+      EXPECT_EQ(h.hex(), hex) << "optimizer " << static_cast<int>(optimizer)
+                              << " workers " << workers;
+    }
+  }
+}
+
+TEST(Bits, SymbolicPassAndInputSplitArePinned) {
+  const Network net = uniform_relu_net(21, {3, 10, 7, 1});
+  const Box box(3, Interval{-1.0, 1.0});
+  const SymbolicBounds bounds = SymbolicPropagator(net).propagate(box);
+  BitHash sym;
+  for (const LayerBounds& layer : bounds.layers) {
+    sym.add(layer.pre);
+    sym.add(layer.post);
+  }
+  sym.add(bounds.output.lo_coef);
+  sym.add(bounds.output.lo_const);
+  sym.add(bounds.output.hi_coef);
+  sym.add(bounds.output.hi_const);
+  EXPECT_EQ(sym.hex(), "cd216b81b27a41a9");
+
+  InputRegion region;
+  region.box = box;
+  const InputSplitResult r =
+      InputSplitVerifier().maximize(net, region, OutputExpr{{{0, 1.0}}});
+  ASSERT_TRUE(r.exact);
+  BitHash split;
+  split.add(r.max_value);
+  split.add(r.upper_bound);
+  split.add(r.witness);
+  split.add(static_cast<double>(r.boxes_explored));
+  EXPECT_EQ(split.hex(), "c6b6d3656dcba86c");
+}
+
+}  // namespace
+}  // namespace safenn::verify
