@@ -2,13 +2,17 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
 #include "highway/scene_encoder.hpp"
 
 namespace safenn::core {
 
 SafetyMonitor::SafetyMonitor(verify::InputRegion region,
                              double lateral_threshold)
-    : region_(std::move(region)), lateral_threshold_(lateral_threshold) {}
+    : region_(std::move(region)), lateral_threshold_(lateral_threshold) {
+  require(region_.well_formed(),
+          "SafetyMonitor: region constraint names an input outside the box");
+}
 
 GuardDecision SafetyMonitor::guard(const TrainedPredictor& predictor,
                                    const linalg::Vector& scene) const {

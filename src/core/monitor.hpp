@@ -51,6 +51,7 @@ struct GuardDecision {
 /// component is clamped to the threshold.
 class SafetyMonitor {
  public:
+  /// Throws safenn::Error unless region.well_formed().
   SafetyMonitor(verify::InputRegion region, double lateral_threshold);
 
   /// Shielded prediction with the monitor's full decision. Thread-safe:

@@ -134,6 +134,11 @@ __attribute__((target("avx2"))) void avx2_qgemm_nt(std::int64_t* c,
 // tolerance story; it dispatches only after a runtime avx512f check.
 // ---------------------------------------------------------------------
 
+// GCC 12 flags the undefined-vector idiom inside avx512fintrin.h as
+// -Wmaybe-uninitialized in every intrinsic inlined here: false positives.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
 __attribute__((target("avx512f"))) inline __m512i qdot16(
     __m512i xv, __m512i xodd, const std::int16_t* wp, __m512i acc) {
   const __m512i wv = _mm512_cvtepi16_epi32(
@@ -194,13 +199,7 @@ __attribute__((target("avx512f"))) void avx512_qgemm_nt(std::int64_t* c,
   }
 }
 
-/// Runtime gate for the 512-bit path (cached). Both packed strides are
-/// multiples of kQuantPad = 16 elements, so whole 16-element groups are
-/// always in-bounds and the padding lanes are zero.
-bool have_avx512() {
-  static const bool ok = __builtin_cpu_supports("avx512f");
-  return ok;
-}
+#pragma GCC diagnostic pop
 
 #endif  // SAFENN_QSIMD_X86
 
@@ -243,6 +242,27 @@ void qgemm_nt_reference(std::int64_t* c, const Int32Matrix& x,
   scalar_qgemm_nt(c, x, w);
 }
 
+const std::vector<QgemmKernel>& qgemm_nt_kernels() {
+  static const std::vector<QgemmKernel> kernels = [] {
+    std::vector<QgemmKernel> k{{"scalar", scalar_qgemm_nt, true}};
+#if defined(SAFENN_QSIMD_X86)
+    // The 512-bit path needs only the extra avx512f check: integer
+    // results are exact on every lane width. Both packed strides are
+    // multiples of kQuantPad = 16 elements, so whole 16-element groups
+    // are always in-bounds and the padding lanes are zero.
+    const bool avx2 = active_simd_isa() == SimdIsa::kAvx2Fma;
+    k.push_back({"avx2", avx2_qgemm_nt, avx2});
+    k.push_back({"avx512", avx512_qgemm_nt,
+                 avx2 && __builtin_cpu_supports("avx512f") != 0});
+#endif
+#if defined(SAFENN_QSIMD_NEON)
+    k.push_back({"neon", neon_qgemm_nt, active_simd_isa() == SimdIsa::kNeon});
+#endif
+    return k;
+  }();
+  return kernels;
+}
+
 void qgemm_nt(std::int64_t* c, const Int32Matrix& x, const Int16Matrix& w,
               KernelBackend backend) {
   require(x.cols() == w.cols(), "qgemm_nt: contraction width mismatch");
@@ -250,29 +270,15 @@ void qgemm_nt(std::int64_t* c, const Int32Matrix& x, const Int16Matrix& w,
     scalar_qgemm_nt(c, x, w);
     return;
   }
-  switch (active_simd_isa()) {
-#if defined(SAFENN_QSIMD_X86)
-    case SimdIsa::kAvx2Fma:
-      // Integer results are exact on every lane width, so the wider
-      // path needs only the runtime ISA check, not a tolerance story.
-      if (have_avx512()) {
-        avx512_qgemm_nt(c, x, w);
-      } else {
-        avx2_qgemm_nt(c, x, w);
-      }
-      return;
-#endif
-#if defined(SAFENN_QSIMD_NEON)
-    case SimdIsa::kNeon:
-      neon_qgemm_nt(c, x, w);
-      return;
-#endif
-    default:
-      // Portable fallback: nothing to vectorize, run the reference loop
-      // (identical result either way — the contract is bitwise).
-      scalar_qgemm_nt(c, x, w);
-      return;
-  }
+  // The last supported kernel is the widest this CPU runs (the scalar
+  // one on a portable build); every kernel's result is the same.
+  static const QgemmKernelFn widest = [] {
+    const std::vector<QgemmKernel>& k = qgemm_nt_kernels();
+    return std::find_if(k.rbegin(), k.rend(),
+                        [](const QgemmKernel& q) { return q.supported; })
+        ->run;
+  }();
+  widest(c, x, w);
 }
 
 }  // namespace qkernels

@@ -110,6 +110,23 @@ void qgemm_nt(std::int64_t* c, const Int32Matrix& x, const Int16Matrix& w,
 void qgemm_nt_reference(std::int64_t* c, const Int32Matrix& x,
                         const Int16Matrix& w);
 
+using QgemmKernelFn = void (*)(std::int64_t* c, const Int32Matrix& x,
+                               const Int16Matrix& w);
+
+/// One per-ISA kernel compiled into this build (same contract as
+/// qgemm_nt, shapes unchecked) and whether this CPU can run it.
+struct QgemmKernel {
+  const char* name;
+  QgemmKernelFn run;
+  bool supported;
+};
+
+/// Every compiled kernel, scalar first, narrowest to widest (built once).
+/// qgemm_nt dispatches to the last supported one; tests run each
+/// supported one, so a kernel the dispatch never picks on this host
+/// (AVX2 next to AVX-512) is still checked.
+const std::vector<QgemmKernel>& qgemm_nt_kernels();
+
 }  // namespace qkernels
 
 // ---------------------------------------------------------------------

@@ -8,15 +8,14 @@
 
 namespace safenn::lp {
 
-int Problem::add_variable(double lower, double upper, double objective,
-                          std::string name) {
+int Problem::add_variable(double lower, double upper, double objective) {
   require(lower <= upper, "Problem::add_variable: lower > upper");
-  variables_.push_back(Variable{lower, upper, objective, std::move(name)});
+  variables_.push_back(Variable{lower, upper, objective});
   return static_cast<int>(variables_.size()) - 1;
 }
 
-int Problem::add_constraint(LinearTerms terms, Relation relation, double rhs,
-                            std::string name) {
+int Problem::add_constraint(LinearTerms terms, Relation relation,
+                            double rhs) {
   // Merge duplicate indices so the solver sees each column once per row.
   std::map<int, double> merged;
   for (const auto& [var, coef] : terms) {
@@ -29,8 +28,7 @@ int Problem::add_constraint(LinearTerms terms, Relation relation, double rhs,
   for (const auto& [var, coef] : merged) {
     if (coef != 0.0) clean.emplace_back(var, coef);
   }
-  constraints_.push_back(
-      Constraint{std::move(clean), relation, rhs, std::move(name)});
+  constraints_.push_back(Constraint{std::move(clean), relation, rhs});
   return static_cast<int>(constraints_.size()) - 1;
 }
 

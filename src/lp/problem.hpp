@@ -2,7 +2,6 @@
 #pragma once
 
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,14 +23,12 @@ struct Constraint {
   LinearTerms terms;
   Relation relation = Relation::kLe;
   double rhs = 0.0;
-  std::string name;
 };
 
 struct Variable {
   double lower = 0.0;
   double upper = kInfinity;
   double objective = 0.0;
-  std::string name;
 };
 
 /// An LP: optimize c^T x subject to row relations and variable bounds.
@@ -39,12 +36,10 @@ struct Variable {
 class Problem {
  public:
   /// Adds a variable, returns its index.
-  int add_variable(double lower, double upper, double objective = 0.0,
-                   std::string name = "");
+  int add_variable(double lower, double upper, double objective = 0.0);
 
   /// Adds a row; duplicate variable entries in `terms` are summed.
-  int add_constraint(LinearTerms terms, Relation relation, double rhs,
-                     std::string name = "");
+  int add_constraint(LinearTerms terms, Relation relation, double rhs);
 
   void set_objective(int var, double coefficient);
   void set_maximize(bool maximize) { maximize_ = maximize; }

@@ -8,22 +8,20 @@
 namespace safenn::milp {
 
 int Model::add_variable(double lower, double upper, VarType type,
-                        double objective, std::string name) {
+                        double objective) {
   if (type == VarType::kBinary) {
     lower = std::max(lower, 0.0);
     upper = std::min(upper, 1.0);
   }
-  const int idx =
-      problem_.add_variable(lower, upper, objective, std::move(name));
+  const int idx = problem_.add_variable(lower, upper, objective);
   types_.push_back(type);
   if (type != VarType::kContinuous) integral_.push_back(idx);
   return idx;
 }
 
 int Model::add_constraint(lp::LinearTerms terms, lp::Relation relation,
-                          double rhs, std::string name) {
-  return problem_.add_constraint(std::move(terms), relation, rhs,
-                                 std::move(name));
+                          double rhs) {
+  return problem_.add_constraint(std::move(terms), relation, rhs);
 }
 
 void Model::set_objective(int var, double coefficient) {

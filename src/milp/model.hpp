@@ -1,7 +1,6 @@
 // Mixed-integer linear model: an lp::Problem plus integrality marks.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "lp/problem.hpp"
@@ -17,10 +16,9 @@ class Model {
  public:
   /// Adds a variable; binaries are clamped into [0, 1].
   int add_variable(double lower, double upper, VarType type,
-                   double objective = 0.0, std::string name = "");
+                   double objective = 0.0);
 
-  int add_constraint(lp::LinearTerms terms, lp::Relation relation, double rhs,
-                     std::string name = "");
+  int add_constraint(lp::LinearTerms terms, lp::Relation relation, double rhs);
 
   void set_objective(int var, double coefficient);
   void set_maximize(bool maximize);

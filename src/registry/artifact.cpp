@@ -212,12 +212,13 @@ ModelArtifact parse_payload(std::string_view payload) {
           "bad constraint term count");
     c.terms.resize(terms);
     for (auto& [idx, coeff] : c.terms) {
-      check(r.read(idx, ' ') && r.read(coeff, ' ') && idx >= 0,
-            "bad constraint term");
+      check(r.read(idx, ' ') && r.read(coeff, ' '), "bad constraint term");
     }
     c.relation = relation_from_name(r.word(' '));
     check(r.read(c.rhs, '\n'), "bad constraint rhs");
   }
+  check(artifact.monitor.region.well_formed(),
+        "region constraint names an input outside the box");
 
   if (r.skip("quantized-frac-bits ")) {
     artifact.quantized = parse_quantized_section(r);
@@ -258,6 +259,8 @@ ModelArtifact make_artifact(std::string version,
           "make_artifact: version must be a non-empty whitespace-free token");
   require(predictor.network.input_size() == monitor.region.dims(),
           "make_artifact: monitor region dims != network input width");
+  require(monitor.region.well_formed(),
+          "make_artifact: region constraint names an input outside the box");
   ModelArtifact artifact;
   artifact.version = std::move(version);
   artifact.head = predictor.head;

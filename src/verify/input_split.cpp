@@ -10,109 +10,15 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "common/task_pool.hpp"
 #include "lp/simplex.hpp"
 #include "verify/interval.hpp"
+#include "verify/milp_encoder.hpp"
 #include "verify/symbolic.hpp"
 
 namespace safenn::verify {
 namespace {
-
-/// Base LP shared by every box of one maximize() call: the input
-/// variables (bounds overwritten per box) plus the region's side
-/// constraints. The rows and the objective structure are identical for
-/// every box, so they are built exactly once per call instead of per box.
-lp::Problem build_base_lp(const nn::Network& net, const InputRegion& region) {
-  lp::Problem p;
-  p.set_maximize(true);
-  for (std::size_t i = 0; i < net.input_size(); ++i) {
-    p.add_variable(region.box[i].lo, region.box[i].hi);
-  }
-  for (const InputConstraint& c : region.constraints) {
-    lp::LinearTerms terms;
-    terms.reserve(c.terms.size());
-    for (const auto& [idx, coef] : c.terms) {
-      require(idx >= 0 && static_cast<std::size_t>(idx) < net.input_size(),
-              "InputSplitVerifier: side-constraint index out of range");
-      terms.emplace_back(idx, coef);  // input variables are 0..n-1
-    }
-    p.add_constraint(std::move(terms), c.relation, c.rhs);
-  }
-  return p;
-}
-
-/// Triangle-relaxation LP over one box: copies the base LP, narrows the
-/// input-variable bounds to the box and appends the per-layer relaxation
-/// rows plus the expr objective.
-lp::Problem build_triangle_lp(const nn::Network& net, const Box& box,
-                              const lp::Problem& base,
-                              const std::vector<LayerBounds>& bounds,
-                              const OutputExpr& expr) {
-  lp::Problem p = base;
-  std::vector<int> prev;
-  prev.reserve(net.input_size());
-  for (std::size_t i = 0; i < net.input_size(); ++i) {
-    const int v = static_cast<int>(i);
-    p.variable(v).lower = box[i].lo;
-    p.variable(v).upper = box[i].hi;
-    prev.push_back(v);
-  }
-
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    const nn::DenseLayer& layer = net.layer(li);
-    std::vector<int> cur(layer.out_size(), -1);
-    for (std::size_t r = 0; r < layer.out_size(); ++r) {
-      const Interval pre = bounds[li].pre[r];
-      lp::LinearTerms z_terms;
-      for (std::size_t c = 0; c < layer.in_size(); ++c) {
-        const double w = layer.weights()(r, c);
-        if (w != 0.0) z_terms.emplace_back(prev[c], w);
-      }
-      const double b = layer.biases()[r];
-      if (layer.activation() == nn::Activation::kIdentity) {
-        const int y = p.add_variable(pre.lo, pre.hi);
-        lp::LinearTerms eq{{y, 1.0}};
-        for (const auto& [var, coef] : z_terms) eq.emplace_back(var, -coef);
-        p.add_constraint(std::move(eq), lp::Relation::kEq, b);
-        cur[r] = y;
-        continue;
-      }
-      if (pre.hi <= 0.0) {
-        cur[r] = p.add_variable(0.0, 0.0);
-        continue;
-      }
-      if (pre.lo >= 0.0) {
-        const int y = p.add_variable(pre.lo, pre.hi);
-        lp::LinearTerms eq{{y, 1.0}};
-        for (const auto& [var, coef] : z_terms) eq.emplace_back(var, -coef);
-        p.add_constraint(std::move(eq), lp::Relation::kEq, b);
-        cur[r] = y;
-        continue;
-      }
-      // Unstable: y >= z, y >= 0 (bound), y <= hi (z - lo) / (hi - lo).
-      const int y = p.add_variable(0.0, pre.hi);
-      lp::LinearTerms ge{{y, 1.0}};
-      for (const auto& [var, coef] : z_terms) ge.emplace_back(var, -coef);
-      p.add_constraint(std::move(ge), lp::Relation::kGe, b);
-      const double slope = pre.hi / (pre.hi - pre.lo);
-      lp::LinearTerms le{{y, 1.0}};
-      for (const auto& [var, coef] : z_terms) {
-        le.emplace_back(var, -slope * coef);
-      }
-      p.add_constraint(std::move(le), lp::Relation::kLe,
-                       slope * (b - pre.lo));
-      cur[r] = y;
-    }
-    prev = cur;
-  }
-  // Objective over the output-layer variables (they are the last widths).
-  for (const auto& [idx, coef] : expr.terms) {
-    p.set_objective(prev[static_cast<std::size_t>(idx)], coef);
-  }
-  return p;
-}
 
 struct BoxNode {
   Box box;
@@ -151,18 +57,7 @@ InputSplitVerifier::InputSplitVerifier(InputSplitOptions options)
 InputSplitResult InputSplitVerifier::maximize(const nn::Network& net,
                                               const InputRegion& region,
                                               const OutputExpr& expr) const {
-  require(region.dims() == net.input_size(),
-          "InputSplitVerifier: region dimension mismatch");
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    require(nn::is_piecewise_linear(net.layer(li).activation()),
-            "InputSplitVerifier: only ReLU/identity networks supported");
-  }
-  for (const auto& [idx, coef] : expr.terms) {
-    (void)coef;
-    require(idx >= 0 && static_cast<std::size_t>(idx) < net.output_size(),
-            "InputSplitVerifier: output index out of range");
-  }
-
+  check_query(net, region, expr);
   Stopwatch clock;
   // Deadline + portfolio-cancel, latched once per round (should_stop) on
   // the merge thread; workers use the thread-safe check_now() before a box.
@@ -178,7 +73,6 @@ InputSplitResult InputSplitVerifier::maximize(const nn::Network& net,
     local_symbolic.emplace(net);
     symbolic = &*local_symbolic;
   }
-  const lp::Problem base_lp = build_base_lp(net, region);
 
   InputSplitResult result;
   // Best peer-achieved value (racing portfolio); refreshed once per round
@@ -241,8 +135,22 @@ InputSplitResult InputSplitVerifier::maximize(const nn::Network& net,
       bounds = propagate_bounds(net, node.box);
     }
 
-    const lp::Problem relax =
-        build_triangle_lp(net, node.box, base_lp, bounds, expr);
+    // Triangle-relaxation LP over the box, objective expr.
+    lp::Problem relax = relaxation_lp(node.box, region.constraints);
+    relax.set_maximize(true);
+    std::vector<int> prev(net.input_size());
+    for (std::size_t i = 0; i < prev.size(); ++i) prev[i] = static_cast<int>(i);
+    for (std::size_t li = 0; li < net.num_layers(); ++li) {
+      std::vector<int> cur(net.layer(li).out_size());
+      for (std::size_t r = 0; r < cur.size(); ++r) {
+        cur[r] = append_relaxed_neuron(relax, net.layer(li), r, prev,
+                                       bounds[li].pre[r]);
+      }
+      prev = std::move(cur);
+    }
+    for (const auto& [idx, coef] : expr.terms) {
+      relax.set_objective(prev[static_cast<std::size_t>(idx)], coef);
+    }
     const lp::Solution s = solver.solve(relax);
     o.lp_iterations = s.iterations;
     if (s.status == lp::SolveStatus::kInfeasible) {
@@ -439,14 +347,8 @@ Verdict InputSplitVerifier::prove(const nn::Network& net,
   const InputSplitResult r = InputSplitVerifier(std::move(options))
                                  .maximize(net, property.region, property.expr);
   if (detail) *detail = r;
-  if (r.has_value && r.max_value > property.threshold) {
-    return Verdict::kViolated;
-  }
-  if (r.exact || r.upper_bound <= property.threshold) {
-    return r.upper_bound <= property.threshold + 1e-9 ? Verdict::kProved
-                                                      : Verdict::kUnknown;
-  }
-  return Verdict::kUnknown;
+  return decide_verdict(property.threshold, r.has_value, r.max_value,
+                        r.upper_bound);
 }
 
 }  // namespace safenn::verify

@@ -85,7 +85,7 @@ struct InputSplitOptions {
   ///     and <= t, but not the tightest bound the search would reach.
   /// Either exit leaves exact false. Unset: maximize() computes the
   /// maximum. prove() sets the property's threshold; the portfolio sets
-  /// threshold + prove_tol.
+  /// threshold + kProveTol.
   std::optional<double> decision_threshold;
   /// Optional shared symbolic propagator for `net` (the portfolio hoists
   /// one per query instead of every engine re-deriving it). Must outlive
@@ -124,7 +124,8 @@ class InputSplitVerifier {
 
   /// Decides expr <= threshold on the region: maximize() with the
   /// property's threshold as the decision threshold, so the search stops
-  /// once the bound clears it or a value exceeds it.
+  /// once the bound clears it or a value exceeds it; decide_verdict()
+  /// reads the result.
   Verdict prove(const nn::Network& net, const SafetyProperty& property,
                 InputSplitResult* detail = nullptr) const;
 

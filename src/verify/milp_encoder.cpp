@@ -1,7 +1,6 @@
 #include "verify/milp_encoder.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "common/error.hpp"
 #include "lp/simplex.hpp"
@@ -10,32 +9,61 @@
 
 namespace safenn::verify {
 
+lp::Problem relaxation_lp(const Box& box,
+                          const std::vector<InputConstraint>& constraints) {
+  lp::Problem p;
+  for (const Interval& iv : box) p.add_variable(iv.lo, iv.hi);
+  for (const InputConstraint& c : constraints) {
+    p.add_constraint(c.terms, c.relation, c.rhs);  // input i is variable i
+  }
+  return p;
+}
+
+int append_relaxed_neuron(lp::Problem& lp, const nn::DenseLayer& layer,
+                          std::size_t r, const std::vector<int>& prev,
+                          const Interval& pre) {
+  lp::LinearTerms z;
+  for (std::size_t c = 0; c < layer.in_size(); ++c) {
+    const double w = layer.weights()(r, c);
+    if (w != 0.0) z.emplace_back(prev[c], w);
+  }
+  const double b = layer.biases()[r];
+  // The row  y - slope * (w_r . prev)  (relation)  rhs.
+  auto add_row = [&](int y, double slope, lp::Relation relation,
+                     double rhs) {
+    lp::LinearTerms row{{y, 1.0}};
+    for (const auto& [var, coef] : z) row.emplace_back(var, -slope * coef);
+    lp.add_constraint(std::move(row), relation, rhs);
+  };
+  const bool relu = layer.activation() != nn::Activation::kIdentity;
+  if (relu && pre.hi <= 0.0) return lp.add_variable(0.0, 0.0);
+  if (!relu || pre.lo >= 0.0) {
+    const int y = lp.add_variable(pre.lo, pre.hi);
+    add_row(y, 1.0, lp::Relation::kEq, b);
+    return y;
+  }
+  const int y = lp.add_variable(0.0, pre.hi);
+  add_row(y, 1.0, lp::Relation::kGe, b);
+  const double slope = pre.hi / (pre.hi - pre.lo);
+  add_row(y, slope, lp::Relation::kLe, slope * (b - pre.lo));
+  return y;
+}
+
 std::vector<LayerBounds> lp_tightened_bounds(
     const nn::Network& net, const InputRegion& region,
     const std::vector<LayerBounds>* symbolic_seed, const CancelToken& stop) {
-  require(region.dims() == net.input_size(),
-          "lp_tightened_bounds: region dimension mismatch");
+  check_query(net, region);
   // Symbolic bounds seed the relaxation and cap the LP answers (the LP
   // can only tighten, never loosen, a sound bound). The tighter seed
   // also lets stable neurons skip their min/max LP pair below.
   const std::vector<LayerBounds> seed =
       symbolic_seed ? *symbolic_seed : symbolic_bounds(net, region.box);
 
-  lp::Problem relaxation;
-  std::vector<int> prev_vars;
-  prev_vars.reserve(net.input_size());
-  for (std::size_t i = 0; i < net.input_size(); ++i) {
-    prev_vars.push_back(
-        relaxation.add_variable(region.box[i].lo, region.box[i].hi));
+  lp::Problem relaxation = relaxation_lp(region.box, region.constraints);
+  std::vector<int> prev_vars(net.input_size());
+  for (std::size_t i = 0; i < prev_vars.size(); ++i) {
+    prev_vars[i] = static_cast<int>(i);
   }
-  for (const InputConstraint& c : region.constraints) {
-    lp::LinearTerms terms;
-    for (const auto& [idx, coef] : c.terms) {
-      terms.emplace_back(prev_vars[static_cast<std::size_t>(idx)], coef);
-    }
-    relaxation.add_constraint(std::move(terms), c.relation, c.rhs);
-  }
-
   lp::SimplexSolver solver;
   std::vector<LayerBounds> out;
   out.reserve(net.num_layers());
@@ -50,12 +78,6 @@ std::vector<LayerBounds> lp_tightened_bounds(
     for (std::size_t r = 0; r < layer.out_size(); ++r) {
       // Tighten pre-activation bounds by LP, seeded by the interval.
       Interval pre = seed[li].pre[r];
-      lp::LinearTerms z_terms;
-      for (std::size_t c = 0; c < layer.in_size(); ++c) {
-        const double w = layer.weights()(r, c);
-        if (w != 0.0) z_terms.emplace_back(prev_vars[c], w);
-      }
-      const double b = layer.biases()[r];
       // A ReLU neuron the symbolic seed already proves stable encodes
       // without a binary no matter how much tighter the LP bound gets —
       // skip both LPs (the big win of the symbolic seed: on typical
@@ -65,10 +87,14 @@ std::vector<LayerBounds> lp_tightened_bounds(
                             stop.check_now();
       for (int sense = 0; !skip_lps && sense < 2; ++sense) {
         lp::Problem p = relaxation;
-        for (const auto& [var, coef] : z_terms) p.set_objective(var, coef);
+        for (std::size_t c = 0; c < layer.in_size(); ++c) {
+          const double w = layer.weights()(r, c);
+          if (w != 0.0) p.set_objective(prev_vars[c], w);
+        }
         p.set_maximize(sense == 1);
         const lp::Solution s = solver.solve(p);
         if (s.status != lp::SolveStatus::kOptimal) continue;
+        const double b = layer.biases()[r];
         if (sense == 1) {
           pre.hi = std::min(pre.hi, s.objective + b + 1e-9);
         } else {
@@ -77,45 +103,11 @@ std::vector<LayerBounds> lp_tightened_bounds(
       }
       if (pre.lo > pre.hi) pre.lo = pre.hi;  // numerical guard
       lb.pre[r] = pre;
-
       // Extend the relaxation with this neuron for subsequent layers.
-      if (layer.activation() == nn::Activation::kIdentity) {
-        lb.post[r] = pre;
-        const int y = relaxation.add_variable(pre.lo, pre.hi);
-        lp::LinearTerms eq{{y, 1.0}};
-        for (const auto& [var, coef] : z_terms) eq.emplace_back(var, -coef);
-        relaxation.add_constraint(std::move(eq), lp::Relation::kEq, b);
-        layer_vars[r] = y;
-        continue;
-      }
-      // ReLU neuron.
-      if (pre.hi <= 0.0) {  // stable inactive
-        lb.post[r] = Interval{0.0, 0.0};
-        layer_vars[r] = relaxation.add_variable(0.0, 0.0);
-        continue;
-      }
-      if (pre.lo >= 0.0) {  // stable active: y = z
-        lb.post[r] = pre;
-        const int y = relaxation.add_variable(pre.lo, pre.hi);
-        lp::LinearTerms eq{{y, 1.0}};
-        for (const auto& [var, coef] : z_terms) eq.emplace_back(var, -coef);
-        relaxation.add_constraint(std::move(eq), lp::Relation::kEq, b);
-        layer_vars[r] = y;
-        continue;
-      }
-      // Unstable: triangle relaxation y >= z, y >= 0, y <= hi(z-lo)/(hi-lo).
-      lb.post[r] = Interval{0.0, pre.hi};
-      const int y = relaxation.add_variable(0.0, pre.hi);
-      lp::LinearTerms ge{{y, 1.0}};
-      for (const auto& [var, coef] : z_terms) ge.emplace_back(var, -coef);
-      relaxation.add_constraint(std::move(ge), lp::Relation::kGe, b);
-      const double slope = pre.hi / (pre.hi - pre.lo);
-      lp::LinearTerms le{{y, 1.0}};
-      for (const auto& [var, coef] : z_terms) {
-        le.emplace_back(var, -slope * coef);
-      }
-      relaxation.add_constraint(std::move(le), lp::Relation::kLe,
-                                slope * (b - pre.lo));
+      const int y =
+          append_relaxed_neuron(relaxation, layer, r, prev_vars, pre);
+      lb.post[r] = Interval{relaxation.variable(y).lower,
+                            relaxation.variable(y).upper};
       layer_vars[r] = y;
     }
     prev_vars = layer_vars;
@@ -161,13 +153,7 @@ EncodedNetwork encode_network(const nn::Network& net,
                               const InputRegion& region,
                               const EncoderOptions& options,
                               const CancelToken& stop) {
-  require(region.dims() == net.input_size(),
-          "encode_network: region dimension mismatch");
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    require(nn::is_piecewise_linear(net.layer(li).activation()),
-            "encode_network: only ReLU/identity layers admit MILP "
-            "encodings; use the interval verifier for smooth activations");
-  }
+  check_query(net, region);
 
   // Neuron bounds (big-M constants) per the configured tightening method.
   std::vector<LayerBounds> bounds;
@@ -209,17 +195,13 @@ EncodedNetwork encode_network(const nn::Network& net,
   // Input variables constrained to the region.
   enc.input_vars.reserve(net.input_size());
   for (std::size_t i = 0; i < net.input_size(); ++i) {
-    enc.input_vars.push_back(
-        model.add_variable(region.box[i].lo, region.box[i].hi,
-                           milp::VarType::kContinuous, 0.0,
-                           "x" + std::to_string(i)));
+    enc.input_vars.push_back(model.add_variable(
+        region.box[i].lo, region.box[i].hi, milp::VarType::kContinuous));
   }
   for (const InputConstraint& c : region.constraints) {
     lp::LinearTerms terms;
     terms.reserve(c.terms.size());
     for (const auto& [idx, coef] : c.terms) {
-      require(idx >= 0 && static_cast<std::size_t>(idx) < net.input_size(),
-              "encode_network: input constraint index out of range");
       terms.emplace_back(enc.input_vars[static_cast<std::size_t>(idx)], coef);
     }
     model.add_constraint(std::move(terms), c.relation, c.rhs);
@@ -239,8 +221,6 @@ EncodedNetwork encode_network(const nn::Network& net,
 
     for (std::size_t r = 0; r < layer.out_size(); ++r) {
       const Interval pre = lb.pre[r];
-      const std::string tag =
-          "l" + std::to_string(li) + "n" + std::to_string(r);
 
       // Pre-activation as linear terms over the previous layer.
       auto pre_terms = [&](double y_coef, int y_var,
@@ -257,9 +237,8 @@ EncodedNetwork encode_network(const nn::Network& net,
       };
 
       if (layer.activation() == nn::Activation::kIdentity) {
-        const int y = model.add_variable(pre.lo, pre.hi,
-                                         milp::VarType::kContinuous, 0.0,
-                                         "y_" + tag);
+        const int y =
+            model.add_variable(pre.lo, pre.hi, milp::VarType::kContinuous);
         // y - w.y_prev = b
         model.add_constraint(pre_terms(1.0, y), lp::Relation::kEq,
                              layer.biases()[r]);
@@ -271,16 +250,14 @@ EncodedNetwork encode_network(const nn::Network& net,
       const NeuronStability stability = classify(pre);
       if (stability == NeuronStability::kStableInactive) {
         // Output pinned to zero; no rows needed.
-        layer_post[r] = model.add_variable(0.0, 0.0,
-                                           milp::VarType::kContinuous, 0.0,
-                                           "y_" + tag);
+        layer_post[r] =
+            model.add_variable(0.0, 0.0, milp::VarType::kContinuous);
         ++enc.num_stable_inactive;
         continue;
       }
       if (stability == NeuronStability::kStableActive) {
         const int y = model.add_variable(std::max(0.0, pre.lo), pre.hi,
-                                         milp::VarType::kContinuous, 0.0,
-                                         "y_" + tag);
+                                         milp::VarType::kContinuous);
         model.add_constraint(pre_terms(1.0, y), lp::Relation::kEq,
                              layer.biases()[r]);
         layer_post[r] = y;
@@ -292,10 +269,8 @@ EncodedNetwork encode_network(const nn::Network& net,
       const double lo = pre.lo;
       const double hi = pre.hi;
       const int y = model.add_variable(0.0, std::max(0.0, hi),
-                                       milp::VarType::kContinuous, 0.0,
-                                       "y_" + tag);
-      const int d = model.add_variable(0.0, 1.0, milp::VarType::kBinary, 0.0,
-                                       "d_" + tag);
+                                       milp::VarType::kContinuous);
+      const int d = model.add_variable(0.0, 1.0, milp::VarType::kBinary);
       const double b = layer.biases()[r];
       // y - w.y_prev >= b              (y >= z)
       model.add_constraint(pre_terms(1.0, y), lp::Relation::kGe, b);

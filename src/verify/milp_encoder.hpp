@@ -56,6 +56,23 @@ struct EncoderOptions {
   const std::vector<LayerBounds>* precomputed_symbolic = nullptr;
 };
 
+/// The triangle relaxation (Neurify; Wang et al.) as one LP, built in
+/// two steps that lp_tightened_bounds and input splitting's per-box LP
+/// share. relaxation_lp makes the region LP: input variables 0..n-1
+/// bounded by `box`, plus the side constraints. append_relaxed_neuron then
+/// appends neuron `r` of `layer`, whose pre-activation z = w_r.prev + b_r
+/// (over the previous layer's variables `prev`) is bounded by `pre`, and
+/// returns its output variable y. y's bounds are the neuron's
+/// post-activation interval:
+///   identity, or ReLU with pre.lo >= 0:   y = z
+///   ReLU with pre.hi <= 0:                y = 0 (a fixed variable, no row)
+///   unstable ReLU:                        y >= z, y <= hi (z - lo)/(hi - lo)
+lp::Problem relaxation_lp(const Box& box,
+                          const std::vector<InputConstraint>& constraints);
+int append_relaxed_neuron(lp::Problem& lp, const nn::DenseLayer& layer,
+                          std::size_t r, const std::vector<int>& prev,
+                          const Interval& pre);
+
 /// Per-neuron bounds via layer-by-layer LP tightening: each neuron's
 /// pre-activation is minimized/maximized over an LP containing the input
 /// region and the triangle relaxation of all previously-bounded layers.

@@ -10,7 +10,6 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/numtext.hpp"
-#include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/task_pool.hpp"
 #include "nn/quantize.hpp"
@@ -143,6 +142,81 @@ SatGate gate_sat_engine(const nn::Network& net, const SafetyProperty& property,
   return gate;
 }
 
+/// The deterministic merge. Lowest decider priority; engines above it
+/// may have been cancelled at a schedule-dependent point, so (in
+/// deterministic mode) only engines at or below it — all of which ran to
+/// their deterministic termination — contribute to the merged bound and
+/// value. Racing mode applies the same rule for the winner; its bounds
+/// are sound either way. `outs` is indexed by priority (empty when the
+/// root decided alone).
+PortfolioResult merge(EngineOutcome root, std::vector<EngineOutcome> outs,
+                      double threshold) {
+  int p_min = -1;
+  for (const EngineOutcome& o : outs) {
+    if (o.decided && (p_min < 0 || priority(o.engine) < p_min)) {
+      p_min = priority(o.engine);
+    }
+  }
+  const int include_up_to = p_min < 0 ? 2 : p_min;
+
+  PortfolioResult result;
+  result.upper_bound = root.upper_bound;
+  result.winner = PortfolioEngine::kRoot;
+  result.has_value = root.has_value;
+  result.max_value = root.max_value;
+  result.witness = root.witness;
+  for (const EngineOutcome& o : outs) {
+    if (!o.ran || priority(o.engine) > include_up_to) continue;
+    if (o.upper_bound < result.upper_bound) {
+      result.upper_bound = o.upper_bound;
+      result.winner = o.engine;
+    }
+    if (o.has_value && (!result.has_value || o.max_value > result.max_value)) {
+      result.has_value = true;
+      result.max_value = o.max_value;
+      result.witness = o.witness;
+    }
+  }
+
+  if (p_min >= 0) {
+    const EngineOutcome& winner = outs[static_cast<std::size_t>(p_min)];
+    result.verdict = winner.verdict;
+    result.winner = winner.engine;
+    // Soundness assertion: sound engines can never disagree on a decided
+    // query. A failure here is a portfolio bug, not an input problem —
+    // the message carries every engine's full state for the post-mortem.
+    for (const EngineOutcome& o : outs) {
+      if (!o.decided || o.verdict == result.verdict) continue;
+      auto fmt = [](double v) {
+        char buf[numtext::kMaxChars];
+        return std::string(buf, numtext::write(buf, v));
+      };
+      std::string msg = "PortfolioVerifier: engines disagree on the verdict"
+                        " (threshold=" + fmt(threshold) + "):";
+      for (const EngineOutcome& e : outs) {
+        msg += std::string(" [") + to_string(e.engine) +
+               (e.decided ? " decided=" + to_string(e.verdict)
+                          : std::string(" undecided")) +
+               " bound=" + fmt(e.upper_bound) +
+               (e.has_value ? " value=" + fmt(e.max_value) : std::string()) +
+               " " + e.detail + "]";
+      }
+      require(false, msg);
+    }
+  } else {
+    // No single decider (the root alone, or a timeout): the merged
+    // evidence may still close the query, e.g. one engine's bound plus
+    // another's witness.
+    result.verdict = decide_verdict(threshold, result.has_value,
+                                    result.max_value, result.upper_bound);
+    result.timed_out = result.verdict == Verdict::kUnknown;
+  }
+  result.engine_name = to_string(result.winner);
+  result.engines.push_back(std::move(root));
+  for (EngineOutcome& o : outs) result.engines.push_back(std::move(o));
+  return result;
+}
+
 }  // namespace
 
 const char* to_string(PortfolioEngine engine) {
@@ -155,56 +229,29 @@ const char* to_string(PortfolioEngine engine) {
   return "?";
 }
 
-SharedIncumbent::SharedIncumbent(int num_engines)
-    : value_(-kInf), bound_(kInf) {
+SharedIncumbent::SharedIncumbent(int num_engines) : value_(-kInf) {
   flags_.reserve(static_cast<std::size_t>(num_engines));
   for (int i = 0; i < num_engines; ++i) {
     flags_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
 }
 
-void SharedIncumbent::publish_value(PortfolioEngine engine, double value,
-                                    const linalg::Vector* witness) {
-  (void)engine;
+void SharedIncumbent::publish_value(double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!has_value_ || value > value_) {
-    has_value_ = true;
-    value_ = value;
-    if (witness) witness_ = *witness;
-  }
+  value_ = std::max(value_, value);
 }
 
 double SharedIncumbent::best_value() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return has_value_ ? value_ : -kInf;
-}
-
-void SharedIncumbent::publish_bound(PortfolioEngine engine, double bound) {
-  (void)engine;
-  std::lock_guard<std::mutex> lock(mu_);
-  bound_ = std::min(bound_, bound);
-}
-
-double SharedIncumbent::best_bound() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bound_;
+  return value_;
 }
 
 void SharedIncumbent::decide(int priority, bool cancel_all) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    decided_ = true;
-  }
   for (std::size_t i = 0; i < flags_.size(); ++i) {
     const int p = static_cast<int>(i);
     const bool hit = cancel_all ? p != priority : p > priority;
     if (hit) flags_[i]->store(true, std::memory_order_release);
   }
-}
-
-bool SharedIncumbent::decided() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return decided_;
 }
 
 PortfolioVerifier::PortfolioVerifier(PortfolioOptions options,
@@ -221,19 +268,7 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   const InputRegion& region = property.region;
   const OutputExpr& expr = property.expr;
   const double threshold = property.threshold;
-  require(region.dims() == net.input_size(),
-          "PortfolioVerifier: region dimension mismatch");
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    require(nn::is_piecewise_linear(net.layer(li).activation()),
-            "PortfolioVerifier: only ReLU/identity networks supported");
-  }
-  for (const auto& [idx, coef] : expr.terms) {
-    (void)coef;
-    require(idx >= 0 && static_cast<std::size_t>(idx) < net.output_size(),
-            "PortfolioVerifier: output index out of range");
-  }
-
-  PortfolioResult result;
+  check_query(net, region, expr);
 
   // Cache consultation: content-addressed, so a hit IS the earlier fresh
   // run (bitwise, via the hexfloat round-trip) for this exact artifact.
@@ -241,6 +276,7 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   if (cache_) {
     key = make_cache_key(net, property);
     if (std::optional<CachedVerdict> hit = cache_->lookup(key)) {
+      PortfolioResult result;
       result.verdict = hit->verdict;
       result.engine_name = hit->engine;
       result.upper_bound = hit->upper_bound;
@@ -252,6 +288,15 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
       return result;
     }
   }
+  auto conclude = [&](PortfolioResult result) {
+    result.seconds = clock.seconds();
+    if (cache_) {
+      cache_->store(key, CachedVerdict{result.verdict, result.upper_bound,
+                                       result.has_value, result.max_value,
+                                       result.engine_name, result.seconds});
+    }
+    return result;
+  };
 
   // ---- Hoisted per-query work (computed once, handed to every engine).
   SymbolicPropagator propagator(net);
@@ -259,76 +304,29 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   const Interval root_iv =
       SymbolicPropagator::objective_interval(root_sb, region.box, expr.terms);
 
-  // Warm-start sample sweep: best concrete execution over the region, as
-  // one kReference batch (each row bitwise equal to forward() on it).
-  bool sample_has = false;
-  double sample_best = -kInf;
-  linalg::Vector sample_x;
-  if (options_.warm_start_samples > 0) {
-    Rng rng(options_.warm_start_seed);
-    linalg::Matrix xs(static_cast<std::size_t>(options_.warm_start_samples),
-                      net.input_size());
-    for (std::size_t r = 0; r < xs.rows(); ++r) {
-      for (std::size_t i = 0; i < xs.cols(); ++i) {
-        xs(r, i) = rng.uniform(region.box[i].lo, region.box[i].hi);
-      }
-    }
-    const linalg::Matrix ys =
-        net.forward_batch(xs, linalg::KernelBackend::kReference);
-    for (std::size_t r = 0; r < xs.rows(); ++r) {
-      linalg::Vector x = xs.row(r);
-      if (!region.contains(x)) continue;
-      const double val = expr.evaluate(ys.row(r));
-      if (!sample_has || val > sample_best) {
-        sample_has = true;
-        sample_best = val;
-        sample_x = std::move(x);
-      }
-    }
-  }
+  const std::optional<Incumbent> sample = warm_start_sweep(net, region, expr);
 
   EngineOutcome root_o;
   root_o.engine = PortfolioEngine::kRoot;
   root_o.ran = true;
   root_o.upper_bound = root_iv.hi;
-  root_o.has_value = sample_has;
-  root_o.max_value = sample_has ? sample_best : 0.0;
-  if (sample_has) root_o.witness = sample_x;
-  root_o.detail = "root symbolic bound + warm-start sweep";
-  if (sample_has && sample_best > threshold) {
-    root_o.decided = true;
-    root_o.verdict = Verdict::kViolated;
-  } else if (root_iv.hi <= threshold) {
-    root_o.decided = true;
-    root_o.verdict = Verdict::kProved;
+  root_o.has_value = sample.has_value();
+  if (sample) {
+    root_o.max_value = sample->value;
+    root_o.witness = sample->x;
   }
+  root_o.detail = "root symbolic bound + warm-start sweep";
+  root_o.verdict = decide_verdict(threshold, root_o.has_value,
+                                  root_o.max_value, root_o.upper_bound);
+  root_o.decided = root_o.verdict != Verdict::kUnknown;
   root_o.seconds = clock.seconds();
 
   // Root fast path: the hoisted work alone decided — no race needed.
-  if (root_o.decided) {
-    result.verdict = root_o.verdict;
-    result.winner = PortfolioEngine::kRoot;
-    result.engine_name = to_string(result.winner);
-    result.upper_bound = root_iv.hi;
-    result.has_value = sample_has;
-    result.max_value = root_o.max_value;
-    result.witness = root_o.witness;
-    result.seconds = clock.seconds();
-    result.engines.push_back(std::move(root_o));
-    if (cache_) {
-      cache_->store(key, CachedVerdict{result.verdict, result.upper_bound,
-                                       result.has_value, result.max_value,
-                                       result.engine_name, result.seconds});
-    }
-    return result;
-  }
+  if (root_o.decided) return conclude(merge(std::move(root_o), {}, threshold));
 
   // ---- The race.
   SharedIncumbent shared(3);
-  if (sample_has) {
-    shared.publish_value(PortfolioEngine::kRoot, sample_best, &sample_x);
-  }
-  shared.publish_bound(PortfolioEngine::kRoot, root_iv.hi);
+  if (sample) shared.publish_value(sample->value);
 
   std::vector<EngineOutcome> outs(3);
   outs[0].engine = PortfolioEngine::kInputSplit;
@@ -364,8 +362,15 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
     return slice ? Deadline(rem / share) : deadline;
   };
   // Both searches stop once their bound clears this or (input split) a
-  // value exceeds it: the verdicts below need nothing tighter.
-  const double decide_at = threshold + options_.prove_tol;
+  // value exceeds it: decide_verdict() needs nothing tighter.
+  const double decide_at = threshold + kProveTol;
+  // Publishes an engine's verdict to the race: a decider cancels
+  // everyone else (racing) or the engines at higher priority
+  // (deterministic).
+  auto finish = [&](EngineOutcome& o) {
+    o.decided = o.verdict != Verdict::kUnknown;
+    if (o.decided) shared.decide(priority(o.engine), /*cancel_all=*/!det);
+  };
 
   auto run_input_split = [&](EngineOutcome& o) {
     const std::optional<Deadline> engine_deadline = enter(o);
@@ -378,9 +383,10 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
     so.propagator = &propagator;
     so.cancel = shared.cancel_flag(priority(o.engine));
     so.decision_threshold = decide_at;
-    so.on_incumbent = [&](double v, const linalg::Vector& w) {
-      shared.publish_value(PortfolioEngine::kInputSplit, v, &w);
+    so.on_incumbent = [&](double v, const linalg::Vector&) {
+      shared.publish_value(v);
     };
+    so.external_incumbent = nullptr;
     if (!det) {
       so.external_incumbent = [&] { return shared.best_value(); };
     }
@@ -394,85 +400,57 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
       o.max_value = r.max_value;
       o.witness = r.witness;
     }
-    if (r.has_value && r.max_value > threshold) {
-      o.decided = true;
-      o.verdict = Verdict::kViolated;
-    } else if (r.upper_bound <= threshold + options_.prove_tol) {
-      o.decided = true;
-      o.verdict = Verdict::kProved;
-    }
     o.detail = "boxes=" + std::to_string(r.boxes_explored) +
                " pruned_symbolic=" + std::to_string(r.boxes_pruned_symbolic);
     o.seconds = engine_clock.seconds();
-    shared.publish_bound(o.engine, o.upper_bound);
-    if (o.decided) shared.decide(priority(o.engine), /*cancel_all=*/!det);
+    o.verdict = decide_verdict(threshold, r.has_value, r.max_value,
+                               r.upper_bound);
+    finish(o);
   };
 
   auto run_milp = [&](EngineOutcome& o) {
     const std::optional<Deadline> engine_deadline = enter(o);
     if (!engine_deadline) return;
     Stopwatch engine_clock;
-    EncoderOptions eo = options_.encoder;
-    eo.precomputed_symbolic = &root_sb.layers;
-    EncodedNetwork enc = encode_network(
-        net, region, eo,
-        CancelToken(*engine_deadline, shared.cancel_flag(priority(o.engine))));
-    for (const auto& [idx, coef] : expr.terms) {
-      enc.model.set_objective(enc.output_vars[static_cast<std::size_t>(idx)],
-                              coef);
-    }
-    enc.model.set_maximize(true);
-
-    milp::BnbOptions bo = options_.bnb;
-    bo.time_limit_seconds = *engine_deadline;
-    bo.decision_threshold = decide_at;
-    if (det) bo.max_nodes = options_.det_max_nodes;
-    bo.branch_priority = enc.branch_priority;
-    bo.cancel = shared.cancel_flag(priority(o.engine));
-    bo.on_incumbent = [&](const milp::MilpResult& mr) {
-      linalg::Vector x = enc.extract_input(mr.values);
-      if (!region.contains(x)) return;
-      const double v = expr.evaluate(net.forward(x));
-      shared.publish_value(PortfolioEngine::kMilp, v, &x);
+    VerifierOptions mo = options_.milp;
+    // MilpVerifier takes seconds and starts its own clock: pass what is
+    // left of the engine's deadline, never 0 (unlimited) for a spent one.
+    mo.time_limit_seconds =
+        engine_deadline->unlimited()
+            ? 0.0
+            : std::max(engine_deadline->remaining(), 1e-9);
+    mo.encoder.precomputed_symbolic = &root_sb.layers;
+    mo.bnb.decision_threshold = decide_at;
+    if (det) mo.bnb.max_nodes = options_.det_max_nodes;
+    mo.bnb.cancel = shared.cancel_flag(priority(o.engine));
+    mo.on_incumbent = [&](double v, const linalg::Vector&) {
+      shared.publish_value(v);
     };
+    mo.bnb.external_cutoff = nullptr;
     if (!det) {
-      bo.external_cutoff = [&] { return shared.best_value(); };
+      mo.bnb.external_cutoff = [&] { return shared.best_value(); };
     }
-    if (sample_has) {
-      bo.initial_solution = enc.assignment_from_input(net, sample_x);
-    }
-
-    const milp::MilpResult r = milp::BranchAndBound(bo).solve(enc.model);
+    // The hoisted sweep is the warm start, also when it found no point;
+    // the hybrid split warm start would run a second, uncancellable
+    // search on the wall clock.
+    mo.start = &sample;
+    mo.warm_start_split_seconds = 0.0;
+    const MaximizeResult r = MilpVerifier(mo).maximize(net, region, expr);
     o.ran = true;
     o.cancelled = r.cancelled;
-    if (r.status == milp::MilpStatus::kInfeasible) {
-      // Empty assumption region: vacuously true, max over nothing.
-      o.upper_bound = -kInf;
-      o.decided = true;
-      o.verdict = Verdict::kProved;
-    } else {
-      o.upper_bound = r.best_bound;
-      if (r.has_solution()) {
-        linalg::Vector x = enc.extract_input(r.values);
-        o.max_value = expr.evaluate(net.forward(x));
-        o.witness = std::move(x);
-        o.has_value = true;
-      }
-      if (o.has_value && o.max_value > threshold) {
-        o.decided = true;
-        o.verdict = Verdict::kViolated;
-      } else if (o.upper_bound <= threshold + options_.prove_tol ||
-                 (r.status == milp::MilpStatus::kOptimal &&
-                  o.upper_bound <= threshold + 1e-6)) {
-        o.decided = true;
-        o.verdict = Verdict::kProved;
-      }
+    o.upper_bound = r.upper_bound;
+    o.has_value = r.has_value;
+    if (r.has_value) {
+      o.max_value = r.max_value;
+      o.witness = r.witness;
     }
-    o.detail = "nodes=" + std::to_string(r.nodes_explored) +
-               " binaries=" + std::to_string(enc.num_binaries);
+    o.detail = "nodes=" + std::to_string(r.nodes) +
+               " binaries=" + std::to_string(r.binaries);
     o.seconds = engine_clock.seconds();
-    shared.publish_bound(o.engine, o.upper_bound);
-    if (o.decided) shared.decide(priority(o.engine), /*cancel_all=*/!det);
+    o.verdict = decide_verdict(threshold, r.has_value, r.max_value,
+                               r.upper_bound,
+                               r.status == milp::MilpStatus::kOptimal);
+    finish(o);
   };
 
   SatGate gate;
@@ -517,7 +495,7 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
         o.max_value = vf;
         o.witness = *v.counterexample;
       }
-      shared.publish_value(o.engine, vf, &*v.counterexample);
+      shared.publish_value(vf);
       return vf;
     };
 
@@ -561,7 +539,6 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
         }
       } else if (v.sat == sat::SatResult::kUnsat) {
         hi = mid;
-        shared.publish_bound(o.engine, c * (hi + eps_out));
       } else {
         budget_out = true;
       }
@@ -577,8 +554,7 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
     o.detail = "probes=" + std::to_string(probes) +
                " margin=" + std::to_string(gate.margin);
     o.seconds = engine_clock.seconds();
-    shared.publish_bound(o.engine, o.upper_bound);
-    if (o.decided) shared.decide(priority(o.engine), /*cancel_all=*/!det);
+    finish(o);
   };
 
   std::vector<std::function<void()>> tasks;
@@ -614,27 +590,16 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   const bool milp_first =
       !det && relu_total > 0 && 2 * relu_unstable >= relu_total;
 
-  auto push_split = [&] {
-    if (options_.use_input_split) {
-      tasks.push_back(guard(outs[0], run_input_split));
+  auto push = [&](bool use, EngineOutcome& o, auto body) {
+    if (use) {
+      tasks.push_back(guard(o, body));
     } else {
-      outs[0].detail = "disabled";
+      o.detail = "disabled";
     }
   };
-  auto push_milp = [&] {
-    if (options_.use_milp) {
-      tasks.push_back(guard(outs[1], run_milp));
-    } else {
-      outs[1].detail = "disabled";
-    }
-  };
-  if (milp_first) {
-    push_milp();
-    push_split();
-  } else {
-    push_split();
-    push_milp();
-  }
+  if (milp_first) push(options_.use_milp, outs[1], run_milp);
+  push(options_.use_input_split, outs[0], run_input_split);
+  if (!milp_first) push(options_.use_milp, outs[1], run_milp);
   if (options_.use_sat && gate.ok) {
     tasks.push_back(guard(outs[2], run_sat));
   } else {
@@ -645,86 +610,7 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
   TaskPool pool(static_cast<std::size_t>(std::max(1, options_.num_workers)));
   pool.run(tasks);
 
-  // ---- Deterministic merge.
-  // Lowest decider priority; engines above it may have been cancelled at
-  // a schedule-dependent point, so (in deterministic mode) only engines
-  // at or below it — all of which ran to their deterministic termination
-  // — contribute to the merged bound/value. Racing mode applies the same
-  // rule for the winner; its bounds are sound either way.
-  int p_min = -1;
-  for (const EngineOutcome& o : outs) {
-    if (o.decided && (p_min < 0 || priority(o.engine) < p_min)) {
-      p_min = priority(o.engine);
-    }
-  }
-  const int include_up_to = p_min < 0 ? 2 : p_min;
-
-  result.upper_bound = root_iv.hi;
-  result.winner = PortfolioEngine::kRoot;
-  result.has_value = sample_has;
-  result.max_value = root_o.max_value;
-  result.witness = root_o.witness;
-  for (const EngineOutcome& o : outs) {
-    if (!o.ran || priority(o.engine) > include_up_to) continue;
-    if (o.upper_bound < result.upper_bound) {
-      result.upper_bound = o.upper_bound;
-      result.winner = o.engine;
-    }
-    if (o.has_value && (!result.has_value || o.max_value > result.max_value)) {
-      result.has_value = true;
-      result.max_value = o.max_value;
-      result.witness = o.witness;
-    }
-  }
-
-  if (p_min >= 0) {
-    const EngineOutcome& winner = outs[static_cast<std::size_t>(p_min)];
-    result.verdict = winner.verdict;
-    result.winner = winner.engine;
-    // Soundness assertion: sound engines can never disagree on a decided
-    // query. A failure here is a portfolio bug, not an input problem —
-    // the message carries every engine's full state for the post-mortem.
-    for (const EngineOutcome& o : outs) {
-      if (!o.decided || o.verdict == result.verdict) continue;
-      auto fmt = [](double v) {
-        char buf[numtext::kMaxChars];
-        return std::string(buf, numtext::write(buf, v));
-      };
-      std::string msg = "PortfolioVerifier: engines disagree on the verdict"
-                        " (threshold=" + fmt(threshold) + "):";
-      for (const EngineOutcome& e : outs) {
-        msg += std::string(" [") + to_string(e.engine) +
-               (e.decided ? " decided=" + to_string(e.verdict)
-                          : std::string(" undecided")) +
-               " bound=" + fmt(e.upper_bound) +
-               (e.has_value ? " value=" + fmt(e.max_value) : std::string()) +
-               " " + e.detail + "]";
-      }
-      require(false, msg);
-    }
-  } else {
-    // No decider: the merged evidence may still close the query (e.g.
-    // one engine's bound plus another's witness).
-    if (result.has_value && result.max_value > threshold) {
-      result.verdict = Verdict::kViolated;
-    } else if (result.upper_bound <= threshold + options_.prove_tol) {
-      result.verdict = Verdict::kProved;
-    } else {
-      result.verdict = Verdict::kUnknown;
-      result.timed_out = true;
-    }
-  }
-  result.engine_name = to_string(result.winner);
-  result.seconds = clock.seconds();
-  result.engines.push_back(std::move(root_o));
-  for (EngineOutcome& o : outs) result.engines.push_back(std::move(o));
-
-  if (cache_) {
-    cache_->store(key, CachedVerdict{result.verdict, result.upper_bound,
-                                     result.has_value, result.max_value,
-                                     result.engine_name, result.seconds});
-  }
-  return result;
+  return conclude(merge(std::move(root_o), std::move(outs), threshold));
 }
 
 }  // namespace safenn::verify

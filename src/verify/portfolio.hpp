@@ -44,7 +44,13 @@
 // query: one SymbolicPropagator, one root symbolic propagation (feeding
 // the MILP big-M seed, the split verifier, the SAT word-width/margin
 // analysis, and an instant root-level proof when the box already closes),
-// and one warm-start sample sweep whose best value seeds all engines.
+// and one warm_start_sweep whose best value seeds all engines.
+//
+// The portfolio schedules the engines' public searches:
+// InputSplitVerifier::maximize and MilpVerifier::maximize, with the
+// hoisted work, the deadline, the cancel flag and the shared incumbent
+// passed through their options. Every verdict, the engines' and the
+// merge's, comes from decide_verdict().
 #pragma once
 
 #include <atomic>
@@ -55,11 +61,9 @@
 #include <string>
 #include <vector>
 
-#include "milp/branch_and_bound.hpp"
 #include "nn/network.hpp"
 #include "verify/cache.hpp"
 #include "verify/input_split.hpp"
-#include "verify/milp_encoder.hpp"
 #include "verify/property.hpp"
 #include "verify/verifier.hpp"
 
@@ -77,35 +81,28 @@ enum class PortfolioEngine {
 
 const char* to_string(PortfolioEngine engine);
 
-/// Cross-engine blackboard. Value side: best concrete expr value proven
-/// achievable in-region (network-evaluated — LP/SAT tolerances cannot
-/// inflate it) plus its witness. Bound side: tightest proven upper bound
-/// on the true maximum. Cancellation side: one flag per engine, plus the
-/// decided latch. All value/bound state sits behind one mutex; the cancel
-/// flags are atomics so engines poll them lock-free from CancelToken
-/// (release on set, acquire on load — the flag is a pure signal, the
-/// values engines act on always travel through the mutex).
+/// Cross-engine blackboard: what one engine learns that another reads
+/// mid-search. Value side: the best concrete expr value proven achievable
+/// in-region (network-evaluated — LP/SAT tolerances cannot inflate it),
+/// behind a mutex. Cancellation side: one flag per engine, atomics that
+/// engines poll lock-free from CancelToken (release on set, acquire on
+/// load — the flag is a pure signal). Bounds and witnesses travel in each
+/// engine's EngineOutcome to the merge, not through here.
 class SharedIncumbent {
  public:
   explicit SharedIncumbent(int num_engines);
 
-  /// Max-merge a concrete in-region value (witness optional).
-  void publish_value(PortfolioEngine engine, double value,
-                     const linalg::Vector* witness);
+  /// Max-merge a concrete in-region value.
+  void publish_value(double value);
   /// Best published value, -inf when none. Safe to call from any engine's
   /// pruning hot loop (one mutex acquisition).
   double best_value() const;
-
-  /// Min-merge a proven upper bound on the true maximum.
-  void publish_bound(PortfolioEngine engine, double bound);
-  double best_bound() const;  // +inf when none
 
   /// Record a decision at `priority`. cancel_all (racing mode) raises
   /// every other engine's flag; otherwise (deterministic mode) only
   /// engines at strictly higher priority are cancelled, so everything at
   /// or below the winning priority still terminates deterministically.
   void decide(int priority, bool cancel_all);
-  bool decided() const;
 
   const std::atomic<bool>* cancel_flag(int engine) const {
     return flags_[static_cast<std::size_t>(engine)].get();
@@ -113,11 +110,7 @@ class SharedIncumbent {
 
  private:
   mutable std::mutex mu_;
-  bool has_value_ = false;
   double value_;
-  linalg::Vector witness_;
-  double bound_;
-  bool decided_ = false;
   std::vector<std::unique_ptr<std::atomic<bool>>> flags_;
 };
 
@@ -142,22 +135,18 @@ struct PortfolioOptions {
   long det_max_boxes = 4000;
   long det_max_nodes = 4000;
   std::int64_t det_max_conflicts = 200000;
-  /// Warm-start sample sweep, hoisted to the portfolio: the best concrete
-  /// execution seeds the MILP incumbent and the shared value (0 disables).
-  long warm_start_samples = 200;
-  std::uint64_t warm_start_seed = 12345;
   /// SAT engine gate: quantization precision and the circuit-size cap
   /// (total weight count) above which the CNF path is not attempted.
   int sat_frac_bits = 4;
   std::size_t sat_max_weights = 4000;
-  /// Verdict tolerances, matching the single-engine verifiers.
-  double prove_tol = 1e-9;
-  /// Nested per-engine options. time limit / cancel / propagator /
-  /// decision threshold / branch priority / warm start fields are
-  /// overwritten per query.
+  /// Nested per-engine options. Overwritten per query: the time limit,
+  /// cancel flag, propagator or symbolic seed, decision threshold,
+  /// incumbent hooks, external incumbent or cutoff (unset in
+  /// deterministic mode), (deterministic mode) the box/node caps, and the
+  /// MILP's warm start: always the hoisted sweep, never the hybrid split
+  /// warm start (so milp.num_workers is unused).
   InputSplitOptions split;
-  EncoderOptions encoder;
-  milp::BnbOptions bnb;
+  VerifierOptions milp;
 };
 
 /// What one engine contributed to one query.

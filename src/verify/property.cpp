@@ -4,6 +4,16 @@
 
 namespace safenn::verify {
 
+bool InputRegion::well_formed() const {
+  for (const InputConstraint& c : constraints) {
+    for (const auto& [idx, coef] : c.terms) {
+      (void)coef;
+      if (idx < 0 || static_cast<std::size_t>(idx) >= dims()) return false;
+    }
+  }
+  return true;
+}
+
 bool InputRegion::contains(const linalg::Vector& x, double tol) const {
   require(x.size() == box.size(), "InputRegion::contains: dim mismatch");
   for (std::size_t i = 0; i < box.size(); ++i) {
@@ -39,6 +49,24 @@ double OutputExpr::evaluate(const linalg::Vector& output) const {
     acc += coef * output[static_cast<std::size_t>(idx)];
   }
   return acc;
+}
+
+void check_query(const nn::Network& net, const InputRegion& region,
+                 const OutputExpr& expr) {
+  require(region.dims() == net.input_size(),
+          "verification query: region width != network input width");
+  for (std::size_t li = 0; li < net.num_layers(); ++li) {
+    require(nn::is_piecewise_linear(net.layer(li).activation()),
+            "verification query: only ReLU/identity layers are supported; "
+            "use the interval verifier for smooth activations");
+  }
+  for (const auto& [idx, coef] : expr.terms) {
+    (void)coef;
+    require(idx >= 0 && static_cast<std::size_t>(idx) < net.output_size(),
+            "verification query: output index out of range");
+  }
+  require(region.well_formed(),
+          "verification query: side-constraint index outside the region box");
 }
 
 bool SafetyProperty::holds_at(const nn::Network& net, const linalg::Vector& x,

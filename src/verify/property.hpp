@@ -33,6 +33,10 @@ struct InputRegion {
 
   std::size_t dims() const { return box.size(); }
 
+  /// True when every side-constraint index names a box dimension, i.e.
+  /// lies in [0, dims()). Loaders and constructors of regions check it.
+  bool well_formed() const;
+
   /// True when `x` lies in the box and satisfies all side constraints
   /// up to `tol`.
   bool contains(const linalg::Vector& x, double tol = 1e-7) const;
@@ -56,5 +60,12 @@ struct SafetyProperty {
   bool holds_at(const nn::Network& net, const linalg::Vector& x,
                 double tol = 1e-9) const;
 };
+
+/// The one query check, run at every verification entry point. Throws
+/// safenn::Error unless the region is as wide as the network's input,
+/// every layer is piecewise linear (ReLU/identity), every output index of
+/// `expr` names a network output, and the region is well_formed().
+void check_query(const nn::Network& net, const InputRegion& region,
+                 const OutputExpr& expr = {});
 
 }  // namespace safenn::verify

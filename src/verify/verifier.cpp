@@ -1,9 +1,10 @@
 #include "verify/verifier.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "common/cancel.hpp"
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "verify/input_split.hpp"
@@ -19,12 +20,46 @@ std::string to_string(Verdict v) {
   return "?";
 }
 
+Verdict decide_verdict(double threshold, bool has_value, double value,
+                       double bound, bool milp_optimal) {
+  if (has_value && value > threshold) return Verdict::kViolated;
+  if (bound <= threshold + kProveTol ||
+      (milp_optimal && bound <= threshold + 1e-6)) {
+    return Verdict::kProved;
+  }
+  return Verdict::kUnknown;
+}
+
+std::optional<Incumbent> warm_start_sweep(const nn::Network& net,
+                                          const InputRegion& region,
+                                          const OutputExpr& expr) {
+  Rng rng(kWarmStartSeed);
+  linalg::Matrix xs(static_cast<std::size_t>(kWarmStartSamples),
+                    net.input_size());
+  for (std::size_t r = 0; r < xs.rows(); ++r) {
+    for (std::size_t i = 0; i < xs.cols(); ++i) {
+      xs(r, i) = rng.uniform(region.box[i].lo, region.box[i].hi);
+    }
+  }
+  // Each row of the batch is bitwise equal to forward() on it.
+  const linalg::Matrix ys = net.forward_batch(xs);
+  std::optional<Incumbent> best;
+  for (std::size_t r = 0; r < xs.rows(); ++r) {
+    linalg::Vector x = xs.row(r);
+    if (!region.contains(x)) continue;  // side constraints may reject
+    const double val = expr.evaluate(ys.row(r));
+    if (!best || val > best->value) best = Incumbent{val, std::move(x)};
+  }
+  return best;
+}
+
 MilpVerifier::MilpVerifier(VerifierOptions options)
     : options_(std::move(options)) {}
 
 MaximizeResult MilpVerifier::maximize(const nn::Network& net,
                                       const InputRegion& region,
                                       const OutputExpr& expr) const {
+  check_query(net, region, expr);
   Stopwatch clock;
   // One deadline for the whole query: encoding, warm start and search.
   const Deadline deadline(options_.time_limit_seconds);
@@ -32,9 +67,6 @@ MaximizeResult MilpVerifier::maximize(const nn::Network& net,
       encode_network(net, region, options_.encoder,
                      CancelToken(deadline, options_.bnb.cancel));
   for (const auto& [idx, coef] : expr.terms) {
-    require(idx >= 0 &&
-                static_cast<std::size_t>(idx) < enc.output_vars.size(),
-            "MilpVerifier::maximize: output index out of range");
     enc.model.set_objective(enc.output_vars[static_cast<std::size_t>(idx)],
                             coef);
   }
@@ -43,45 +75,36 @@ MaximizeResult MilpVerifier::maximize(const nn::Network& net,
   milp::BnbOptions bnb = options_.bnb;
   bnb.time_limit_seconds = deadline;
   bnb.branch_priority = enc.branch_priority;
+  if (options_.on_incumbent) {
+    bnb.on_incumbent = [&](const milp::MilpResult& r) {
+      const linalg::Vector x = enc.extract_input(r.values);
+      if (region.contains(x)) {
+        options_.on_incumbent(expr.evaluate(net.forward(x)), x);
+      }
+    };
+  }
 
-  // Warm start: the best of N concrete executions is a feasible incumbent.
-  if (options_.warm_start_samples > 0) {
-    Rng rng(options_.warm_start_seed);
-    linalg::Vector best_x;
-    double best_val = 0.0;
-    bool have = false;
-    for (long t = 0; t < options_.warm_start_samples; ++t) {
-      linalg::Vector x(net.input_size());
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x[i] = rng.uniform(region.box[i].lo, region.box[i].hi);
-      }
-      if (!region.contains(x)) continue;  // side constraints may reject
-      const double val = expr.evaluate(net.forward(x));
-      if (!have || val > best_val) {
-        have = true;
-        best_val = val;
-        best_x = std::move(x);
-      }
-    }
-    const double split_seconds =
-        std::min(options_.warm_start_split_seconds, deadline.remaining());
-    if (split_seconds > 0.0) {
-      InputSplitOptions split_opts;
-      split_opts.time_limit_seconds = split_seconds;
-      split_opts.gap_tol = 1e-3;
-      split_opts.num_workers = options_.num_workers;
-      const InputSplitResult sr =
-          InputSplitVerifier(split_opts).maximize(net, region, expr);
-      if (sr.has_value && (!have || sr.max_value > best_val)) {
-        have = true;
-        best_val = sr.max_value;
-        best_x = sr.witness;
-      }
-    }
-    if (have) {
-      bnb.initial_solution = enc.assignment_from_input(net, best_x);
+  // Warm start: a concrete execution is a feasible incumbent.
+  std::optional<Incumbent> swept;
+  if (!options_.start) swept = warm_start_sweep(net, region, expr);
+  const std::optional<Incumbent>& sweep =
+      options_.start ? *options_.start : swept;
+  const linalg::Vector* start = sweep ? &sweep->x : nullptr;
+  const double split_seconds =
+      std::min(options_.warm_start_split_seconds, deadline.remaining());
+  InputSplitResult sr;
+  if (split_seconds > 0.0) {
+    InputSplitOptions split_opts;
+    split_opts.time_limit_seconds = split_seconds;
+    split_opts.gap_tol = 1e-3;
+    split_opts.num_workers = options_.num_workers;
+    sr = InputSplitVerifier(split_opts).maximize(net, region, expr);
+    if (sr.has_value && (!sweep || sr.max_value > sweep->value)) {
+      start = &sr.witness;
     }
   }
+  bnb.initial_solution =
+      start ? enc.assignment_from_input(net, *start) : std::vector<double>{};
 
   const milp::MilpResult r = milp::BranchAndBound(bnb).solve(enc.model);
 
@@ -91,7 +114,11 @@ MaximizeResult MilpVerifier::maximize(const nn::Network& net,
   out.nodes = r.nodes_explored;
   out.lp_iterations = r.lp_iterations;
   out.binaries = enc.num_binaries;
-  out.upper_bound = r.best_bound;
+  out.cancelled = r.cancelled;
+  // The maximum over an empty region is -inf.
+  out.upper_bound = r.status == milp::MilpStatus::kInfeasible
+                        ? -std::numeric_limits<double>::infinity()
+                        : r.best_bound;
   if (r.has_solution()) {
     out.has_value = true;
     // Report the value the *network* actually produces at the witness, so
@@ -112,33 +139,13 @@ ProveResult MilpVerifier::prove(const nn::Network& net,
   ProveResult out;
   out.seconds = clock.seconds();
   out.nodes = m.nodes;
-
-  if (m.status == milp::MilpStatus::kInfeasible) {
-    // Empty assumption region: vacuously true.
-    out.verdict = Verdict::kProved;
-    return out;
-  }
-  if (m.has_value && m.max_value > property.threshold) {
-    out.verdict = Verdict::kViolated;
+  out.verdict =
+      decide_verdict(property.threshold, m.has_value, m.max_value,
+                     m.upper_bound, m.status == milp::MilpStatus::kOptimal);
+  if (out.verdict == Verdict::kViolated) {
     out.counterexample = m.witness;
     out.violation_value = m.max_value;
-    return out;
   }
-  if (m.status == milp::MilpStatus::kOptimal) {
-    // Exact maximum <= threshold (network-evaluated at the argmax and
-    // certified by the MILP bound).
-    out.verdict = (m.upper_bound <= property.threshold + 1e-6)
-                      ? Verdict::kProved
-                      : Verdict::kUnknown;
-    return out;
-  }
-  // Threshold reached, or a time/node limit: the dual bound may still
-  // prove the property.
-  if (m.upper_bound <= property.threshold) {
-    out.verdict = Verdict::kProved;
-    return out;
-  }
-  out.verdict = Verdict::kUnknown;
   return out;
 }
 
@@ -150,8 +157,8 @@ double IntervalVerifier::upper_bound(const nn::Network& net,
 
 Verdict IntervalVerifier::prove(const nn::Network& net,
                                 const SafetyProperty& property) const {
-  const double ub = upper_bound(net, property.region, property.expr);
-  return ub <= property.threshold ? Verdict::kProved : Verdict::kUnknown;
+  return decide_verdict(property.threshold, false, 0.0,
+                        upper_bound(net, property.region, property.expr));
 }
 
 }  // namespace safenn::verify

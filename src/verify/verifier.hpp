@@ -10,6 +10,8 @@
 //    works for smooth activations as well.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -28,16 +30,55 @@ enum class Verdict {
 
 std::string to_string(Verdict v);
 
+/// Slack on a sound bound: "max <= t" is proved once the bound is at most
+/// t + kProveTol. The searches' decision thresholds use the same slack.
+constexpr double kProveTol = 1e-9;
+
+/// The one verdict rule for "forall x in region: expr(N(x)) <= t", fed by
+/// whatever an engine (or a merge of engines) established:
+///  - kViolated when `value`, network-evaluated at an in-region point
+///    (has_value), exceeds t;
+///  - kProved when `bound`, a sound upper bound on the maximum, is at most
+///    t + kProveTol, or at most t + 1e-6 when it is the bound of an exact
+///    MILP optimum (`milp_optimal`; its incumbent is network-evaluated);
+///  - kUnknown otherwise.
+Verdict decide_verdict(double threshold, bool has_value, double value,
+                       double bound, bool milp_optimal = false);
+
+/// The warm-start sweep: kWarmStartSamples draws, uniform over the box
+/// (Rng seeded with kWarmStartSeed), run as one batch; the first strict
+/// maximum of expr among the draws inside the region wins.
+constexpr long kWarmStartSamples = 200;
+constexpr std::uint64_t kWarmStartSeed = 12345;
+
+/// A concrete execution: input `x` in the region and expr's value there.
+struct Incumbent {
+  double value = 0.0;
+  linalg::Vector x;
+};
+
+/// The sweep's best execution, or nullopt when no draw lies in the region.
+std::optional<Incumbent> warm_start_sweep(const nn::Network& net,
+                                          const InputRegion& region,
+                                          const OutputExpr& expr);
+
 struct VerifierOptions {
   double time_limit_seconds = 0.0;  // <= 0: unlimited
   EncoderOptions encoder;
-  /// The time limit is overwritten from above; prove() sets the decision
-  /// threshold to the property's threshold.
+  /// The time limit, branch priority and initial solution are overwritten
+  /// from above; prove() sets the decision threshold to the property's
+  /// threshold.
   milp::BnbOptions bnb;
-  /// Warm start: sample this many region points, seed branch-and-bound
-  /// with the best concrete network execution (0 disables).
-  long warm_start_samples = 200;
-  std::uint64_t warm_start_seed = 12345;
+  /// Called whenever the search finds a better incumbent that lies in the
+  /// region, with its input and network-evaluated value (a portfolio
+  /// publishes it to its peers). Replaces bnb.on_incumbent when set.
+  std::function<void(double value, const linalg::Vector& witness)>
+      on_incumbent;
+  /// Warm start: a warm_start_sweep() result already computed by the
+  /// caller (a portfolio hoists one per query). Branch-and-bound starts
+  /// from its point, or from none when it holds no point. Must outlive
+  /// the call. Null: maximize() runs warm_start_sweep() itself.
+  const std::optional<Incumbent>* start = nullptr;
   /// Hybrid warm start: additionally run the input-splitting engine for
   /// this many seconds and take its witness when better (0 disables).
   /// Input splitting excels at finding strong incumbents; the MILP then
@@ -62,6 +103,8 @@ struct MaximizeResult {
   long nodes = 0;
   long lp_iterations = 0;
   std::size_t binaries = 0;
+  /// True when bnb.cancel stopped the search (bounds are sound snapshots).
+  bool cancelled = false;
 };
 
 /// Result of a prove/refute query for expr <= threshold.
@@ -81,7 +124,8 @@ class MilpVerifier {
   explicit MilpVerifier(VerifierOptions options = {});
 
   /// Exact maximum of expr(N(x)) over x in region (Table II query).
-  /// time_limit_seconds starts here and covers the encoding too.
+  /// time_limit_seconds starts here and covers the encoding too. An empty
+  /// region reports kInfeasible with upper_bound -inf.
   MaximizeResult maximize(const nn::Network& net, const InputRegion& region,
                           const OutputExpr& expr) const;
 
@@ -102,8 +146,9 @@ class IntervalVerifier {
   double upper_bound(const nn::Network& net, const InputRegion& region,
                      const OutputExpr& expr) const;
 
-  /// kProved when the interval bound already clears the threshold,
-  /// else kUnknown (never kViolated: the analysis cannot witness).
+  /// decide_verdict() on the interval bound: kProved when it clears the
+  /// threshold, else kUnknown (never kViolated: the analysis cannot
+  /// witness).
   Verdict prove(const nn::Network& net, const SafetyProperty& property) const;
 };
 

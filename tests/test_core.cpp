@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/certification.hpp"
 #include "core/hints.hpp"
@@ -13,6 +14,8 @@ namespace {
 using linalg::Vector;
 
 /// Shared small dataset + predictor so the expensive training runs once.
+/// Width 4 keeps the MILP queries on the data domain exact in well under
+/// a second, so the verification tests assert on exact maxima.
 class PipelineFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -25,7 +28,7 @@ class PipelineFixture : public ::testing::Test {
         highway::build_highway_dataset(*encoder_, dcfg));
 
     PredictorConfig pcfg;
-    pcfg.hidden_width = 8;
+    pcfg.hidden_width = 4;
     pcfg.train.epochs = 12;
     predictor_ = new TrainedPredictor(
         train_motion_predictor(built_->data, pcfg));
@@ -37,6 +40,13 @@ class PipelineFixture : public ::testing::Test {
     predictor_ = nullptr;
     built_ = nullptr;
     encoder_ = nullptr;
+  }
+
+  /// "Vehicle on the left" over the observed data domain (the operational
+  /// envelope run_certification verifies).
+  static verify::InputRegion data_region() {
+    return highway::make_vehicle_on_left_region(
+        *encoder_, highway::data_domain_box(built_->data, *encoder_));
   }
 
   static highway::SceneEncoder* encoder_;
@@ -70,46 +80,55 @@ TEST_F(PipelineFixture, PredictReturnsNormalizedMixture) {
 TEST_F(PipelineFixture, VerificationProducesCertifiedMaximum) {
   verify::VerifierOptions opts;
   opts.time_limit_seconds = 60.0;
+  const verify::InputRegion region = data_region();
   const PredictorVerification v =
-      verify_max_lateral_velocity(*predictor_, *encoder_, opts);
+      verify_max_lateral_velocity(*predictor_, *encoder_, opts, &region);
   ASSERT_EQ(v.per_component.size(), predictor_->head.components());
   EXPECT_GT(v.seconds, 0.0);
-  if (v.exact) {
-    // Witness value must be reproducible through plain inference, and the
-    // verified max must dominate sampled probes from the region.
-    const verify::InputRegion region =
-        highway::make_vehicle_on_left_region(*encoder_);
-    Rng rng(31);
-    double sampled = -1e9;
-    for (int trial = 0; trial < 200; ++trial) {
-      Vector x(highway::kSceneFeatures);
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x[i] = rng.uniform(region.box[i].lo, region.box[i].hi);
-      }
-      const linalg::Vector raw = predictor_->network.forward(x);
-      for (std::size_t k = 0; k < predictor_->head.components(); ++k) {
-        sampled = std::max(
-            sampled,
-            raw[predictor_->head.mean_index(k, highway::kActionLateral)]);
-      }
-    }
-    EXPECT_GE(v.max_lateral_velocity, sampled - 1e-5);
+  ASSERT_TRUE(v.exact);
+  // Each component's witness reproduces its maximum through plain
+  // inference, and the verified maximum dominates samples of the region.
+  for (std::size_t k = 0; k < v.per_component.size(); ++k) {
+    const verify::MaximizeResult& r = v.per_component[k];
+    ASSERT_TRUE(r.has_value);
+    EXPECT_TRUE(region.contains(r.witness));
+    const std::size_t out =
+        predictor_->head.mean_index(k, highway::kActionLateral);
+    EXPECT_EQ(predictor_->network.forward(r.witness)[out], r.max_value);
+    EXPECT_LE(r.max_value, v.max_lateral_velocity);
   }
+  Rng rng(31);
+  double sampled = -1e9;
+  for (int trial = 0; trial < 200; ++trial) {
+    Vector x(highway::kSceneFeatures);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = rng.uniform(region.box[i].lo, region.box[i].hi);
+    }
+    ASSERT_TRUE(region.contains(x));
+    const linalg::Vector raw = predictor_->network.forward(x);
+    for (std::size_t k = 0; k < predictor_->head.components(); ++k) {
+      sampled = std::max(
+          sampled,
+          raw[predictor_->head.mean_index(k, highway::kActionLateral)]);
+    }
+  }
+  EXPECT_GE(v.max_lateral_velocity, sampled - 1e-5);
 }
 
 TEST_F(PipelineFixture, ProveAgreesWithMaximization) {
   verify::VerifierOptions opts;
   opts.time_limit_seconds = 60.0;
+  const verify::InputRegion region = data_region();
   const PredictorVerification v =
-      verify_max_lateral_velocity(*predictor_, *encoder_, opts);
-  if (!v.exact) GTEST_SKIP() << "verification timed out on this machine";
+      verify_max_lateral_velocity(*predictor_, *encoder_, opts, &region);
+  ASSERT_TRUE(v.exact);
   // Threshold above the exact max: must be proved.
   const PredictorProof proved = prove_lateral_velocity_bound(
-      *predictor_, *encoder_, v.max_lateral_velocity + 0.1, opts);
+      *predictor_, *encoder_, v.max_lateral_velocity + 0.1, opts, &region);
   EXPECT_EQ(proved.verdict, verify::Verdict::kProved);
   // Threshold below the exact max: must be violated.
   const PredictorProof violated = prove_lateral_velocity_bound(
-      *predictor_, *encoder_, v.max_lateral_velocity - 0.1, opts);
+      *predictor_, *encoder_, v.max_lateral_velocity - 0.1, opts, &region);
   EXPECT_EQ(violated.verdict, verify::Verdict::kViolated);
 }
 
@@ -144,7 +163,7 @@ TEST(Hints, HintTrainingLowersVerifiedMaximum) {
       highway::build_highway_dataset(encoder, dcfg);
 
   PredictorConfig base;
-  base.hidden_width = 6;
+  base.hidden_width = 4;
   base.train.epochs = 10;
   base.weight_seed = 5;
   const TrainedPredictor plain = train_motion_predictor(built.data, base);
@@ -157,21 +176,23 @@ TEST(Hints, HintTrainingLowersVerifiedMaximum) {
   const TrainedPredictor hinted =
       train_motion_predictor(built.data, hinted_cfg);
 
+  // Both maxima are exact over the observed data domain.
   verify::VerifierOptions opts;
   opts.time_limit_seconds = 45.0;
+  const verify::InputRegion region = highway::make_vehicle_on_left_region(
+      encoder, highway::data_domain_box(built.data, encoder));
   const PredictorVerification v_plain =
-      verify_max_lateral_velocity(plain, encoder, opts);
+      verify_max_lateral_velocity(plain, encoder, opts, &region);
   const PredictorVerification v_hint =
-      verify_max_lateral_velocity(hinted, encoder, opts);
-  if (v_plain.exact && v_hint.exact) {
-    EXPECT_LE(v_hint.max_lateral_velocity,
-              v_plain.max_lateral_velocity + 1e-6);
-  }
+      verify_max_lateral_velocity(hinted, encoder, opts, &region);
+  ASSERT_TRUE(v_plain.exact);
+  ASSERT_TRUE(v_hint.exact);
+  EXPECT_LT(v_hint.max_lateral_velocity, v_plain.max_lateral_velocity);
 }
 
 TEST(Certification, EndToEndArtifactsAreCoherent) {
   CertificationConfig cfg;
-  cfg.predictor.hidden_width = 6;
+  cfg.predictor.hidden_width = 4;
   cfg.predictor.train.epochs = 8;
   cfg.dataset.sample_steps = 80;
   cfg.dataset.warmup_steps = 20;
@@ -186,13 +207,15 @@ TEST(Certification, EndToEndArtifactsAreCoherent) {
   EXPECT_LT(a.samples_after_sanitize, a.samples_before_sanitize);
 
   // Pillar 2: traceability analyzed every hidden neuron.
-  EXPECT_EQ(a.traceability.neurons.size(), 4u * 6u);
+  EXPECT_EQ(a.traceability.neurons.size(), 4u * 4u);
 
-  // Pillar 3: MC/DC accounting and verification ran.
-  EXPECT_EQ(a.mcdc.decisions, 24u);
+  // Pillar 3: MC/DC accounting, and a verification that closes: the exact
+  // maximum over the data domain is below the bound.
+  EXPECT_EQ(a.mcdc.decisions, 16u);
   EXPECT_GT(a.coverage.tests_generated, 0u);
   EXPECT_GE(a.verification.seconds, 0.0);
-  EXPECT_NE(a.verdict, verify::Verdict::kViolated);  // clean data + small net
+  EXPECT_TRUE(a.verification.exact);
+  EXPECT_EQ(a.verdict, verify::Verdict::kProved);
   EXPECT_GT(a.total_seconds, 0.0);
 }
 
@@ -381,6 +404,19 @@ TEST(Monitor, ClampsOnlyInsideRegionAboveThreshold) {
   EXPECT_NEAR(monitor.stats().intervention_rate(), 0.5, 1e-12);
   monitor.reset_stats();
   EXPECT_EQ(monitor.stats().queries, 0u);
+}
+
+TEST(Monitor, RejectsRegionConstraintOutsideTheBox) {
+  highway::SceneEncoder encoder;
+  const verify::InputRegion region =
+      highway::make_vehicle_on_left_region(encoder);
+  for (const int idx : {-1, static_cast<int>(region.dims())}) {
+    verify::InputRegion bad = region;
+    bad.constraints.push_back(
+        verify::InputConstraint{{{idx, 1.0}}, lp::Relation::kLe, 0.0});
+    EXPECT_THROW(SafetyMonitor(bad, 1.0), Error) << idx;
+  }
+  EXPECT_NO_THROW(SafetyMonitor(region, 1.0));
 }
 
 TEST(Monitor, SafePredictorNeedsNoInterventions) {

@@ -537,8 +537,11 @@ TEST(KernelBackend, QuantizedIsNotAFloatGemmBackend) {
 }
 
 // Awkward shapes for the integer kernels: empty, 1x1, remainder lanes
-// (k % 8 != 0), odd k, and a j-tile remainder (n % 4 != 0).
-TEST(QuantizedKernels, BitwiseEqualAtAwkwardShapes) {
+// (k % 8 != 0), odd k, and a j-tile remainder (n % 4 != 0). Calls
+// `check(x, w, c_ref)` per shape with full-range operands and the scalar
+// reference's result (accumulated onto 17s).
+template <typename Check>
+void for_awkward_qshapes(Check check) {
   Rng rng(67);
   const std::size_t shapes[][3] = {
       {0, 0, 0}, {1, 1, 1},  {2, 3, 2},   {1, 7, 3},   {5, 2, 5},
@@ -560,14 +563,43 @@ TEST(QuantizedKernels, BitwiseEqualAtAwkwardShapes) {
       }
     }
     std::vector<std::int64_t> c_ref(m * n, 17);
-    std::vector<std::int64_t> c_quant(m * n, 17);
     qkernels::qgemm_nt_reference(c_ref.data(), x, w);
+    check(x, w, c_ref);
+  }
+}
+
+TEST(QuantizedKernels, BitwiseEqualAtAwkwardShapes) {
+  for_awkward_qshapes([](const Int32Matrix& x, const Int16Matrix& w,
+                         const std::vector<std::int64_t>& c_ref) {
+    std::vector<std::int64_t> c_quant(c_ref.size(), 17);
     qkernels::qgemm_nt(c_quant.data(), x, w, KernelBackend::kQuantized);
     for (std::size_t e = 0; e < c_ref.size(); ++e) {
       ASSERT_EQ(c_ref[e], c_quant[e])
-          << m << "x" << k << "x" << n << " element " << e;
+          << x.rows() << "x" << x.cols() << "x" << w.rows() << " element "
+          << e;
     }
+  });
+}
+
+// qgemm_nt dispatches to one kernel per host (AVX-512 wherever avx512f
+// exists); every other kernel this CPU supports runs here too.
+TEST(QuantizedKernels, EveryIsaKernelMatchesReference) {
+  int ran = 0;
+  for (const qkernels::QgemmKernel& kernel : qkernels::qgemm_nt_kernels()) {
+    if (!kernel.supported) continue;
+    ++ran;
+    for_awkward_qshapes([&](const Int32Matrix& x, const Int16Matrix& w,
+                            const std::vector<std::int64_t>& c_ref) {
+      std::vector<std::int64_t> c(c_ref.size(), 17);
+      kernel.run(c.data(), x, w);
+      for (std::size_t e = 0; e < c_ref.size(); ++e) {
+        ASSERT_EQ(c_ref[e], c[e])
+            << kernel.name << " " << x.rows() << "x" << x.cols() << "x"
+            << w.rows() << " element " << e;
+      }
+    });
   }
+  EXPECT_GE(ran, 1);  // the scalar reference always runs
 }
 
 TEST(QuantizedKernels, ReferenceDispatchMatchesDirectReference) {

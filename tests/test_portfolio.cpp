@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -379,7 +380,9 @@ TEST(Portfolio, EnginesDisagreeIsImpossibleOnFixture) {
     const PortfolioResult r = PortfolioVerifier(det_options())
                                   .prove(craft_net(), craft_property(threshold));
     for (const EngineOutcome& o : r.engines) {
-      if (o.decided) EXPECT_EQ(o.verdict, r.verdict) << to_string(o.engine);
+      if (o.decided) {
+        EXPECT_EQ(o.verdict, r.verdict) << to_string(o.engine);
+      }
     }
   }
 }
@@ -464,6 +467,41 @@ TEST(PortfolioDeterminism, IdenticalAcrossWorkerCountsAndRuns) {
               << c.name << " w=" << workers << " e=" << e;
         }
       }
+    }
+  }
+}
+
+// The portfolio owns the hooks, caps and warm start it sets per query:
+// values left in the nested options (a cutoff or external incumbent that
+// would prune everything, a spent time limit, a threshold below every
+// value, a start with no point, a hybrid split warm start) change nothing.
+TEST(PortfolioDeterminism, QueryOwnedEngineOptionsAreOverwritten) {
+  const Network net = craft_net();
+  const std::optional<Incumbent> no_point;
+  for (const DetCase& c : determinism_cases()) {
+    const SafetyProperty prop = craft_property(c.threshold);
+    const PortfolioResult ref = PortfolioVerifier(c.options).prove(net, prop);
+    PortfolioOptions o = c.options;
+    o.split.time_limit_seconds = 1e-9;
+    o.split.decision_threshold = -1e9;
+    o.split.external_incumbent = [] { return 1e9; };
+    o.milp.time_limit_seconds = 1e-9;
+    o.milp.bnb.decision_threshold = -1e9;
+    o.milp.bnb.external_cutoff = [] { return 1e9; };
+    o.milp.start = &no_point;
+    o.milp.warm_start_split_seconds = 1.0;
+    const PortfolioResult r = PortfolioVerifier(o).prove(net, prop);
+    EXPECT_EQ(r.verdict, ref.verdict) << c.name;
+    EXPECT_EQ(r.engine_name, ref.engine_name) << c.name;
+    EXPECT_EQ(r.upper_bound, ref.upper_bound) << c.name;
+    EXPECT_EQ(r.has_value, ref.has_value) << c.name;
+    EXPECT_EQ(r.max_value, ref.max_value) << c.name;
+    ASSERT_EQ(r.engines.size(), ref.engines.size()) << c.name;
+    for (std::size_t e = 0; e < ref.engines.size(); ++e) {
+      EXPECT_EQ(r.engines[e].upper_bound, ref.engines[e].upper_bound)
+          << c.name << " e=" << e;
+      EXPECT_EQ(r.engines[e].detail, ref.engines[e].detail)
+          << c.name << " e=" << e;
     }
   }
 }
@@ -610,13 +648,12 @@ TEST(PortfolioWarmStart, BatchedSweepMatchesPerSampleLoopBitwise) {
       InputConstraint{{{0, 1.0}, {1, 1.0}}, lp::Relation::kLe, 0.25});
   prop.expr.terms = {{0, 1.0}, {1, -0.5}};
 
-  const PortfolioOptions defaults;
-  Rng rng(defaults.warm_start_seed);
+  Rng rng(kWarmStartSeed);
   bool has = false;
   double best = 0.0;
   Vector best_x;
   long rejected = 0;
-  for (long t = 0; t < defaults.warm_start_samples; ++t) {
+  for (long t = 0; t < kWarmStartSamples; ++t) {
     Vector x(3);
     for (std::size_t i = 0; i < x.size(); ++i) {
       x[i] = rng.uniform(prop.region.box[i].lo, prop.region.box[i].hi);

@@ -171,6 +171,14 @@ TEST(Artifact, MakeArtifactValidates) {
   MonitorConfig narrow = make_monitor_config();
   narrow.region.box.pop_back();  // dims mismatch vs network input
   EXPECT_THROW(make_artifact("v1", predictor, narrow), Error);
+  // A side constraint on an input the region does not have.
+  const int width = static_cast<int>(make_monitor_config().region.dims());
+  for (const int idx : {-1, width}) {
+    MonitorConfig outside = make_monitor_config();
+    outside.region.constraints.push_back(
+        verify::InputConstraint{{{idx, 1.0}}, lp::Relation::kLe, 0.0});
+    EXPECT_THROW(make_artifact("v1", predictor, outside), Error) << idx;
+  }
 }
 
 // -------------------------------------------------------------------------
@@ -216,6 +224,18 @@ TEST(Artifact, RejectsInternallyInconsistentPayloads) {
   artifact.head = nn::MdnHead(2, highway::kActionDims);  // network is K=1
   EXPECT_EQ(load_kind(artifact_text(artifact)),
             RegistryError::Kind::kBadArtifact);
+
+  // A monitor region whose side constraint names an input outside its
+  // box would throw inside a serving worker on the first in-box scene.
+  const int width = static_cast<int>(artifact.monitor.region.dims());
+  for (const int idx : {-1, width}) {
+    ModelArtifact outside = make_test_artifact("v1");
+    outside.monitor.region.constraints.push_back(
+        verify::InputConstraint{{{idx, 1.0}}, lp::Relation::kLe, 0.0});
+    EXPECT_EQ(load_kind(artifact_text(outside)),
+              RegistryError::Kind::kBadArtifact)
+        << idx;
+  }
 
   // Tampering with the embedded network text (which re-checksums cleanly
   // at the artifact level) is caught by the inner network checksum.

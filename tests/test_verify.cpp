@@ -565,19 +565,241 @@ TEST(WarmStart, HybridSplitWarmStartStillExact) {
   InputRegion region;
   region.box = Box(2, Interval{-1.0, 1.0});
   OutputExpr expr{{{0, 1.0}}};
-  VerifierOptions plain;
-  plain.warm_start_samples = 0;
   VerifierOptions hybrid;
   hybrid.warm_start_split_seconds = 0.5;
-  const MaximizeResult a = MilpVerifier(plain).maximize(net, region, expr);
+  const MaximizeResult a = MilpVerifier().maximize(net, region, expr);
   const MaximizeResult b = MilpVerifier(hybrid).maximize(net, region, expr);
   ASSERT_EQ(a.status, milp::MilpStatus::kOptimal);
   ASSERT_EQ(b.status, milp::MilpStatus::kOptimal);
   EXPECT_NEAR(a.max_value, b.max_value, 1e-6);
 }
 
+// The portfolio's hoisted sweep hands its result to the MILP as `start`;
+// that must be exactly the search MilpVerifier runs on its own sweep.
+TEST(WarmStart, StartPointReplacesSweepBitwise) {
+  Rng rng(505);
+  const Network net = Network::make_mlp({3, 8, 6, 1}, Activation::kRelu,
+                                        Activation::kIdentity, rng);
+  InputRegion region;
+  region.box = Box(3, Interval{-1.0, 1.0});
+  region.constraints.push_back(
+      InputConstraint{{{0, 1.0}, {1, -1.0}}, lp::Relation::kLe, 0.5});
+  const OutputExpr expr{{{0, 1.0}}};
+  const std::optional<Incumbent> best = warm_start_sweep(net, region, expr);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_TRUE(region.contains(best->x));
+  EXPECT_EQ(best->value, expr.evaluate(net.forward(best->x)));
+
+  const MaximizeResult swept = MilpVerifier().maximize(net, region, expr);
+  VerifierOptions given;
+  given.start = &best;
+  const MaximizeResult started =
+      MilpVerifier(given).maximize(net, region, expr);
+  ASSERT_EQ(swept.status, milp::MilpStatus::kOptimal);
+  EXPECT_EQ(started.status, swept.status);
+  EXPECT_EQ(started.max_value, swept.max_value);
+  EXPECT_EQ(started.upper_bound, swept.upper_bound);
+  EXPECT_EQ(started.nodes, swept.nodes);
+  EXPECT_EQ(started.lp_iterations, swept.lp_iterations);
+}
+
+// A sweep that found no in-region point starts the search cold, exactly
+// as MilpVerifier does when its own sweep comes back empty.
+TEST(WarmStart, EmptySweepResultStartsCold) {
+  Rng rng(507);
+  const Network net = Network::make_mlp({2, 8, 6, 1}, Activation::kRelu,
+                                        Activation::kIdentity, rng);
+  InputRegion region;
+  region.box = Box(2, Interval{-1.0, 1.0});
+  // A sliver along the diagonal no uniform draw lands in.
+  region.constraints.push_back(
+      InputConstraint{{{0, 1.0}, {1, -1.0}}, lp::Relation::kLe, 1e-9});
+  region.constraints.push_back(
+      InputConstraint{{{0, 1.0}, {1, -1.0}}, lp::Relation::kGe, -1e-9});
+  const OutputExpr expr{{{0, 1.0}}};
+  ASSERT_FALSE(warm_start_sweep(net, region, expr).has_value());
+
+  const MaximizeResult swept = MilpVerifier().maximize(net, region, expr);
+  const std::optional<Incumbent> none;
+  VerifierOptions given;
+  given.start = &none;
+  const MaximizeResult started =
+      MilpVerifier(given).maximize(net, region, expr);
+  ASSERT_EQ(swept.status, milp::MilpStatus::kOptimal);
+  EXPECT_EQ(started.status, swept.status);
+  EXPECT_EQ(started.max_value, swept.max_value);
+  EXPECT_EQ(started.upper_bound, swept.upper_bound);
+  EXPECT_EQ(started.nodes, swept.nodes);
+  EXPECT_EQ(started.lp_iterations, swept.lp_iterations);
+}
+
+TEST(MilpVerifier, OnIncumbentSeesInRegionNetworkValues) {
+  Rng rng(506);
+  const Network net = Network::make_mlp({2, 8, 6, 1}, Activation::kRelu,
+                                        Activation::kIdentity, rng);
+  InputRegion region;
+  region.box = unit_box(2);
+  const OutputExpr expr{{{0, 1.0}}};
+  const Vector corner{-1.0, -1.0};  // rarely the maximum
+  const std::optional<Incumbent> start =
+      Incumbent{expr.evaluate(net.forward(corner)), corner};
+  VerifierOptions o;
+  o.start = &start;
+  int calls = 0;
+  o.on_incumbent = [&](double v, const Vector& x) {
+    ++calls;
+    EXPECT_TRUE(region.contains(x));
+    EXPECT_EQ(v, expr.evaluate(net.forward(x)));
+  };
+  const MaximizeResult m = MilpVerifier(o).maximize(net, region, expr);
+  ASSERT_EQ(m.status, milp::MilpStatus::kOptimal);
+  EXPECT_GT(calls, 0);
+  EXPECT_FALSE(m.cancelled);
+}
+
 }  // namespace
 }  // namespace safenn::verify
+
+// ---------------------------------------------------------------------------
+// One query check and one verdict rule (appended suite).
+// ---------------------------------------------------------------------------
+#include <functional>
+#include <limits>
+#include <string>
+#include <tuple>
+
+#include "verify/portfolio.hpp"
+
+namespace safenn::verify {
+namespace {
+
+using linalg::Vector;
+using nn::Activation;
+using nn::Network;
+
+TEST(Property, WellFormedRegionNamesOnlyBoxDimensions) {
+  InputRegion region;
+  region.box = Box(3, Interval{-1.0, 1.0});
+  EXPECT_TRUE(region.well_formed());
+  region.constraints.push_back(
+      InputConstraint{{{0, 1.0}, {2, -1.0}}, lp::Relation::kLe, 0.5});
+  EXPECT_TRUE(region.well_formed());
+  for (const int idx : {-1, 3}) {
+    InputRegion bad = region;
+    bad.constraints.push_back(
+        InputConstraint{{{1, 1.0}, {idx, 1.0}}, lp::Relation::kGe, 0.0});
+    EXPECT_FALSE(bad.well_formed()) << idx;
+  }
+}
+
+// Every public entry runs the one query check before any work; an
+// unchecked side-constraint index (width or -1) would index
+// lp_tightened_bounds' variable map out of bounds.
+TEST(QueryCheck, EveryEntryRejectsMalformedQueries) {
+  Rng rng(41);
+  const Network net = Network::make_mlp({2, 4, 1}, Activation::kRelu,
+                                        Activation::kIdentity, rng);
+  const Network smooth = Network::make_mlp({2, 4, 1}, Activation::kTanh,
+                                           Activation::kIdentity, rng);
+  SafetyProperty good;
+  good.region.box = Box(2, Interval{-1.0, 1.0});
+  good.expr.terms = {{0, 1.0}};
+  good.threshold = 1e3;
+
+  using Entry = std::function<void(const Network&, const SafetyProperty&)>;
+  // (name, reads expr?, entry)
+  const std::vector<std::tuple<const char*, bool, Entry>> entries = {
+      {"encode_network", false,
+       [](const Network& n, const SafetyProperty& p) {
+         encode_network(n, p.region);
+       }},
+      {"lp_tightened_bounds", false,
+       [](const Network& n, const SafetyProperty& p) {
+         lp_tightened_bounds(n, p.region);
+       }},
+      {"MilpVerifier::maximize", true,
+       [](const Network& n, const SafetyProperty& p) {
+         MilpVerifier().maximize(n, p.region, p.expr);
+       }},
+      {"MilpVerifier::prove", true,
+       [](const Network& n, const SafetyProperty& p) {
+         MilpVerifier().prove(n, p);
+       }},
+      {"InputSplitVerifier::maximize", true,
+       [](const Network& n, const SafetyProperty& p) {
+         InputSplitVerifier().maximize(n, p.region, p.expr);
+       }},
+      {"InputSplitVerifier::prove", true,
+       [](const Network& n, const SafetyProperty& p) {
+         InputSplitVerifier().prove(n, p);
+       }},
+      {"PortfolioVerifier::prove", true,
+       [](const Network& n, const SafetyProperty& p) {
+         PortfolioOptions o;
+         o.num_workers = 1;
+         PortfolioVerifier(o).prove(n, p);
+       }},
+  };
+
+  std::vector<std::pair<std::string, SafetyProperty>> region_faults;
+  for (const int idx : {-1, 2}) {
+    SafetyProperty p = good;
+    p.region.constraints.push_back(
+        InputConstraint{{{0, 1.0}, {idx, 1.0}}, lp::Relation::kLe, 0.0});
+    region_faults.emplace_back("constraint index " + std::to_string(idx), p);
+  }
+  SafetyProperty wide = good;
+  wide.region.box.push_back(Interval{-1.0, 1.0});
+  region_faults.emplace_back("region width", wide);
+  SafetyProperty bad_output = good;
+  bad_output.expr.terms = {{1, 1.0}};  // the net has one output
+
+  for (const auto& [name, reads_expr, entry] : entries) {
+    EXPECT_NO_THROW(entry(net, good)) << name;
+    EXPECT_THROW(entry(smooth, good), Error) << name;
+    for (const auto& [fault, p] : region_faults) {
+      EXPECT_THROW(entry(net, p), Error) << name << ": " << fault;
+    }
+    if (reads_expr) {
+      EXPECT_THROW(entry(net, bad_output), Error) << name;
+    }
+  }
+}
+
+TEST(Verdict, OneRuleForEveryEngine) {
+  const double t = 1.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  // An in-region value above t refutes, whatever the bound says.
+  EXPECT_EQ(decide_verdict(t, true, t + 1e-12, -inf), Verdict::kViolated);
+  EXPECT_EQ(decide_verdict(t, false, t + 1.0, 0.0), Verdict::kProved);
+  EXPECT_EQ(decide_verdict(t, true, t, t), Verdict::kProved);
+  // A sound bound proves within kProveTol; an exact MILP optimum's bound
+  // within 1e-6 (its incumbent was evaluated through the network).
+  EXPECT_EQ(decide_verdict(t, false, 0.0, t + 0.5e-9), Verdict::kProved);
+  EXPECT_EQ(decide_verdict(t, false, 0.0, t + 2e-9), Verdict::kUnknown);
+  EXPECT_EQ(decide_verdict(t, true, t, t + 2e-9, true), Verdict::kProved);
+  EXPECT_EQ(decide_verdict(t, true, t, t + 2e-6, true), Verdict::kUnknown);
+  EXPECT_EQ(decide_verdict(t, false, 0.0, -inf), Verdict::kProved);
+  EXPECT_EQ(decide_verdict(t, false, 0.0, inf), Verdict::kUnknown);
+
+  // The single-engine verifiers take the same slack as the portfolio: an
+  // interval bound a hair above t proves.
+  Network net;
+  nn::DenseLayer l(2, 1, Activation::kIdentity);
+  l.weights() = linalg::Matrix{{1.0, 0.0}};
+  net.add_layer(std::move(l));
+  SafetyProperty prop;
+  prop.region.box = Box(2, Interval{0.0, 1.0});
+  prop.expr.terms = {{0, 1.0}};
+  prop.threshold = 1.0 - 0.5e-9;
+  EXPECT_EQ(IntervalVerifier().prove(net, prop), Verdict::kProved);
+  prop.threshold = 1.0 - 2e-9;
+  EXPECT_EQ(IntervalVerifier().prove(net, prop), Verdict::kUnknown);
+}
+
+}  // namespace
+}  // namespace safenn::verify
+
 
 // ---------------------------------------------------------------------------
 // Maximum resilience (appended suite).
@@ -958,7 +1180,8 @@ TEST(InputSplitParallel, ParallelProveVerdictsMatchSequential) {
 // ---------------------------------------------------------------------------
 // Pinned bits (appended suite). FNV-1a hashes of what the float kernels
 // compute — batched forwards, SGD and momentum training at 1 and 2
-// workers, a symbolic pass and an input-split maximization — recorded
+// workers, a symbolic pass, an input-split maximization, LP-tightened
+// bounds, a MILP maximization and deterministic portfolio runs — recorded
 // from the default Release build. Weights and inputs come from
 // Rng::uniform and the nets are ReLU/identity trained without Adam, so no
 // libm call enters a hash: every build of the one float arithmetic (SIMD
@@ -1098,6 +1321,75 @@ TEST(Bits, SymbolicPassAndInputSplitArePinned) {
   split.add(r.witness);
   split.add(static_cast<double>(r.boxes_explored));
   EXPECT_EQ(split.hex(), "c6b6d3656dcba86c");
+}
+
+
+// The verification core's trajectories: LP-tightened bounds over a
+// region with a side constraint, a MILP maximization, and deterministic
+// portfolio runs that input splitting and the MILP each win. Values,
+// counters and engine details are pure functions of the float arithmetic
+// and the search order, so a changed LP row, pivot, search step or
+// verdict moves a hash.
+TEST(Bits, VerificationCoreIsPinned) {
+  const Network net = uniform_relu_net(23, {4, 10, 8, 1});
+  SafetyProperty prop;
+  prop.region.box = Box(4, Interval{-1.0, 1.0});
+  prop.region.constraints.push_back(
+      InputConstraint{{{0, 1.0}, {2, 0.5}}, lp::Relation::kLe, 0.3});
+  prop.expr.terms = {{0, 1.0}};
+
+  BitHash lp;
+  for (const LayerBounds& layer : lp_tightened_bounds(net, prop.region)) {
+    lp.add(layer.pre);
+    lp.add(layer.post);
+  }
+  EXPECT_EQ(lp.hex(), "3c5498dcbebe8bcb");
+
+  const MaximizeResult m =
+      MilpVerifier().maximize(net, prop.region, prop.expr);
+  ASSERT_EQ(m.status, milp::MilpStatus::kOptimal);
+  BitHash milp;
+  milp.add(m.max_value);
+  milp.add(m.upper_bound);
+  milp.add(static_cast<double>(m.nodes));
+  milp.add(static_cast<double>(m.lp_iterations));
+  EXPECT_EQ(milp.hex(), "9d3fd1339187e62f");
+
+  // A fifth of the way from the maximum to the root symbolic bound: the
+  // race runs, and the winner needs a search to decide.
+  const double root_hi =
+      SymbolicPropagator::objective_interval(
+          SymbolicPropagator(net).propagate(prop.region.box), prop.region.box,
+          prop.expr.terms)
+          .hi;
+  prop.threshold = 0.8 * m.max_value + 0.2 * root_hi;
+  const std::pair<bool, const char*> expected[] = {
+      {true, "01b3e20776516272"}, {false, "f1da748c452380d9"}};
+  for (const auto& [use_split, hex] : expected) {
+    PortfolioOptions o;
+    o.deterministic = true;
+    o.num_workers = 1;
+    o.use_input_split = use_split;
+    const PortfolioResult r = PortfolioVerifier(o).prove(net, prop);
+    EXPECT_EQ(r.verdict, Verdict::kProved);
+    EXPECT_EQ(r.winner, use_split ? PortfolioEngine::kInputSplit
+                                  : PortfolioEngine::kMilp);
+    BitHash h;
+    h.add(static_cast<double>(r.verdict));
+    h.add(static_cast<double>(r.winner));
+    h.add(r.upper_bound);
+    h.add(r.max_value);
+    h.add(r.witness);
+    for (const EngineOutcome& e : r.engines) {
+      h.add(static_cast<double>(e.ran + 2 * e.decided + 4 * e.cancelled));
+      h.add(static_cast<double>(e.verdict));
+      h.add(e.upper_bound);
+      h.add(e.max_value);
+      h.add(e.witness);
+      for (const char ch : e.detail) h.add(static_cast<double>(ch));
+    }
+    EXPECT_EQ(h.hex(), hex) << "use_input_split " << use_split;
+  }
 }
 
 }  // namespace
