@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/error.hpp"
 
@@ -16,19 +15,28 @@ int Problem::add_variable(double lower, double upper, double objective) {
 
 int Problem::add_constraint(LinearTerms terms, Relation relation,
                             double rhs) {
-  // Merge duplicate indices so the solver sees each column once per row.
-  std::map<int, double> merged;
   for (const auto& [var, coef] : terms) {
     require(var >= 0 && var < num_variables(),
             "Problem::add_constraint: unknown variable index");
-    merged[var] += coef;
   }
-  LinearTerms clean;
-  clean.reserve(merged.size());
-  for (const auto& [var, coef] : merged) {
-    if (coef != 0.0) clean.emplace_back(var, coef);
+  // Merge duplicate indices so the solver sees each column once per row.
+  // The stable sort keeps each index's terms in input order, and each run
+  // sums from 0.0 in that order, as accumulating into a map would.
+  std::stable_sort(terms.begin(), terms.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < terms.size();) {
+    const int var = terms[i].first;
+    double sum = 0.0;
+    for (; i < terms.size() && terms[i].first == var; ++i) {
+      sum += terms[i].second;
+    }
+    if (sum != 0.0) terms[kept++] = {var, sum};
   }
-  constraints_.push_back(Constraint{std::move(clean), relation, rhs});
+  terms.resize(kept);
+  constraints_.push_back(Constraint{std::move(terms), relation, rhs});
   return static_cast<int>(constraints_.size()) - 1;
 }
 

@@ -10,6 +10,14 @@ namespace safenn::lp {
 namespace {
 
 constexpr double kInf = kInfinity;
+constexpr long kMaxIterations = 200000;
+constexpr double kFeasibilityTol = 1e-7;
+constexpr double kOptimalityTol = 1e-7;
+constexpr double kPivotTol = 1e-9;
+/// Switch to Bland's rule after this many consecutive degenerate pivots.
+constexpr long kDegenerateSwitch = 200;
+/// Recompute basic values from scratch every N pivots (numerical hygiene).
+constexpr long kRefreshInterval = 128;
 
 /// Dense bounded-variable simplex working state. Column layout:
 /// [0, n)           structural variables
@@ -26,8 +34,10 @@ struct Tableau {
   std::vector<double> val;   // current value per column
   std::vector<int> basis;    // basic column per row
   std::vector<char> in_basis;
+  std::vector<double> reduced;  // pricing's reduced costs, one per column
 
-  double& at(int r, int c) { return a[static_cast<std::size_t>(r) * ncols + c]; }
+  double* row(int r) { return a.data() + static_cast<std::size_t>(r) * ncols; }
+  double& at(int r, int c) { return row(r)[c]; }
   double at(int r, int c) const {
     return a[static_cast<std::size_t>(r) * ncols + c];
   }
@@ -41,11 +51,21 @@ double initial_value(double lo, double hi) {
   return 0.0;
 }
 
-}  // namespace
+// The row loops of pricing and the pivot. Each element gets one
+// multiply (scale) or one multiply then one subtract (sub_scaled), never
+// fused (-ffp-contract=off) or reassociated, so whatever vector width
+// the compiler picks (2-lane SSE2 at -O3 on x86-64, wider under
+// -march=native) computes the same bits.
 
-SimplexSolver::SimplexSolver(SimplexOptions options) : options_(options) {}
+/// x[0, n) *= s.
+inline void scale(double* x, double s, int n) {
+  for (int c = 0; c < n; ++c) x[c] *= s;
+}
 
-namespace {
+/// y[0, n) -= f * x[0, n).
+inline void sub_scaled(double* y, double f, const double* x, int n) {
+  for (int c = 0; c < n; ++c) y[c] -= f * x[c];
+}
 
 /// Recomputes basic variable values from the pivoted rhs and the nonbasic
 /// assignment: x_B = (B^{-1}b) - sum_{j nonbasic} (B^{-1}A)_j x_j.
@@ -61,22 +81,26 @@ void refresh_basic_values(Tableau& t) {
   for (int r = 0; r < t.m; ++r) t.val[t.basis[r]] = beta[static_cast<std::size_t>(r)];
 }
 
-/// Performs the elimination pivot making column `enter` basic in row `r`.
-/// Cache-line aligned, which also fixes where run_phase (emitted right
-/// after it) lands: otherwise the LP hot loops' speed depends on how much
-/// code the linker places before them, and verification queries ran up to
-/// ~18% slower in the unlucky layouts (x86-64, GCC 12).
-__attribute__((aligned(64))) void pivot(Tableau& t, int r, int enter) {
-  const double piv = t.at(r, enter);
-  const double inv = 1.0 / piv;
-  for (int c = 0; c < t.ncols; ++c) t.at(r, c) *= inv;
+/// Performs the elimination pivot making column `enter` basic in row `r`,
+/// over the tableau's first `width` columns (the live ones: phase 2
+/// never reads the artificials' columns, so its pivots skip them).
+/// Cache-line aligned, like run_phase: otherwise the LP hot loops' speed
+/// depends on how much code the linker places before them, and
+/// verification queries ran up to ~18% slower in the unlucky layouts
+/// (x86-64, GCC 12).
+__attribute__((aligned(64))) void pivot(Tableau& t, int r, int enter,
+                                        int width) {
+  double* const pr = t.row(r);
+  const double inv = 1.0 / pr[enter];
+  scale(pr, inv, width);
   t.rhs[static_cast<std::size_t>(r)] *= inv;
   for (int i = 0; i < t.m; ++i) {
     if (i == r) continue;
-    const double f = t.at(i, enter);
+    double* const pi = t.row(i);
+    const double f = pi[enter];
     if (f == 0.0) continue;
-    for (int c = 0; c < t.ncols; ++c) t.at(i, c) -= f * t.at(r, c);
-    t.at(i, enter) = 0.0;  // kill residual rounding
+    sub_scaled(pi, f, pr, width);
+    pi[enter] = 0.0;  // kill residual rounding
     t.rhs[static_cast<std::size_t>(i)] -= f * t.rhs[static_cast<std::size_t>(r)];
   }
   t.in_basis[t.basis[r]] = 0;
@@ -86,45 +110,49 @@ __attribute__((aligned(64))) void pivot(Tableau& t, int r, int enter) {
 
 enum class PhaseResult { kOptimal, kUnbounded, kIterationLimit };
 
-/// Runs primal simplex on the current costs until optimality. `allow`
-/// filters which columns may enter (used to ban artificials in Phase 2).
-PhaseResult run_phase(Tableau& t, const SimplexOptions& opt, long& iters,
-                      bool allow_artificial) {
+/// Runs primal simplex on the current costs until optimality.
+/// `allow_artificial` false bans artificials from entering (Phase 2) and
+/// narrows pricing and pivots to the n + m columns before them.
+__attribute__((aligned(64))) PhaseResult run_phase(Tableau& t, long& iters,
+                                                   bool allow_artificial) {
   long degenerate_streak = 0;
   const int enter_limit = allow_artificial ? t.ncols : t.n + t.m;
+  double* const reduced = t.reduced.data();
 
-  while (iters < opt.max_iterations) {
+  while (iters < kMaxIterations) {
     ++iters;
 
-    // Reduced costs d_j = c_j - c_B^T T_j, via y_r = cost of row r's basic.
-    // Only rows whose basic column carries nonzero cost contribute.
-    std::vector<std::pair<int, double>> priced_rows;
-    priced_rows.reserve(static_cast<std::size_t>(t.m));
+    // Reduced costs d_j = c_j - sum_r c_B[r] T[r,j] over the rows whose
+    // basic column carries a cost, one contiguous row at a time in
+    // ascending r: each d_j gets the same subtractions in the same order
+    // as a column-wise sum, so the same bits.
+    std::copy_n(t.cost.data(), enter_limit, reduced);
     for (int r = 0; r < t.m; ++r) {
       const double cb = t.cost[static_cast<std::size_t>(t.basis[r])];
-      if (cb != 0.0) priced_rows.emplace_back(r, cb);
+      if (cb != 0.0) sub_scaled(reduced, cb, t.row(r), enter_limit);
     }
 
-    const bool bland = degenerate_streak >= opt.degenerate_switch;
+    const bool bland = degenerate_streak >= kDegenerateSwitch;
     int enter = -1;
     int dir = +1;
-    double best_score = opt.optimality_tol;
+    double best_score = kOptimalityTol;
     for (int j = 0; j < enter_limit; ++j) {
       if (t.in_basis[j]) continue;
       if (t.lo[j] == t.hi[j]) continue;  // fixed column can never improve
-      double d = t.cost[static_cast<std::size_t>(j)];
-      for (const auto& [r, cb] : priced_rows) d -= cb * t.at(r, j);
+      const double d = reduced[j];
 
-      const bool at_lower = std::isfinite(t.lo[j]) && t.val[j] <= t.lo[j] + opt.feasibility_tol;
-      const bool at_upper = std::isfinite(t.hi[j]) && t.val[j] >= t.hi[j] - opt.feasibility_tol;
+      const bool at_lower =
+          std::isfinite(t.lo[j]) && t.val[j] <= t.lo[j] + kFeasibilityTol;
+      const bool at_upper =
+          std::isfinite(t.hi[j]) && t.val[j] >= t.hi[j] - kFeasibilityTol;
       const bool is_free = !at_lower && !at_upper;
 
       int cand_dir = 0;
       double score = 0.0;
-      if ((at_lower || is_free) && d < -opt.optimality_tol) {
+      if ((at_lower || is_free) && d < -kOptimalityTol) {
         cand_dir = +1;
         score = -d;
-      } else if ((at_upper || is_free) && d > opt.optimality_tol) {
+      } else if ((at_upper || is_free) && d > kOptimalityTol) {
         cand_dir = -1;
         score = d;
       }
@@ -155,7 +183,7 @@ PhaseResult run_phase(Tableau& t, const SimplexOptions& opt, long& iters,
     bool leave_hits_upper = false;
     for (int r = 0; r < t.m; ++r) {
       const double coef = t.at(r, enter);
-      if (std::abs(coef) <= opt.pivot_tol) continue;
+      if (std::abs(coef) <= kPivotTol) continue;
       const int b = t.basis[r];
       const double rate = -dir * coef;  // d(val_b)/d(theta)
       double limit;
@@ -194,7 +222,7 @@ PhaseResult run_phase(Tableau& t, const SimplexOptions& opt, long& iters,
     if (!std::isfinite(theta)) return PhaseResult::kUnbounded;
 
     degenerate_streak =
-        (theta <= opt.feasibility_tol) ? degenerate_streak + 1 : 0;
+        (theta <= kFeasibilityTol) ? degenerate_streak + 1 : 0;
 
     // Apply the move to all basic values.
     if (theta != 0.0) {
@@ -214,10 +242,10 @@ PhaseResult run_phase(Tableau& t, const SimplexOptions& opt, long& iters,
     // Pivot: entering becomes basic, row's old basic leaves at a bound.
     const int leaving = t.basis[leave_row];
     t.val[enter] = t.val[enter] + dir * theta;
-    pivot(t, leave_row, enter);
+    pivot(t, leave_row, enter, enter_limit);
     t.val[leaving] = leave_hits_upper ? t.hi[leaving] : t.lo[leaving];
 
-    if (iters % opt.refresh_interval == 0) refresh_basic_values(t);
+    if (iters % kRefreshInterval == 0) refresh_basic_values(t);
   }
   return PhaseResult::kIterationLimit;
 }
@@ -241,6 +269,7 @@ Solution SimplexSolver::solve(const Problem& problem) const {
   t.val.assign(static_cast<std::size_t>(t.ncols), 0.0);
   t.basis.assign(static_cast<std::size_t>(m), -1);
   t.in_basis.assign(static_cast<std::size_t>(t.ncols), 0);
+  t.reduced.resize(static_cast<std::size_t>(t.ncols));
 
   const double obj_sign = problem.maximize() ? -1.0 : 1.0;
 
@@ -293,7 +322,7 @@ Solution SimplexSolver::solve(const Problem& problem) const {
 
   // Phase 1: minimize the sum of artificials.
   for (int i = 0; i < m; ++i) t.cost[static_cast<std::size_t>(n + m + i)] = 1.0;
-  PhaseResult p1 = run_phase(t, options_, iters, /*allow_artificial=*/true);
+  PhaseResult p1 = run_phase(t, iters, /*allow_artificial=*/true);
   if (p1 == PhaseResult::kIterationLimit) {
     sol.status = SolveStatus::kIterationLimit;
     sol.iterations = iters;
@@ -324,7 +353,7 @@ Solution SimplexSolver::solve(const Problem& problem) const {
     }
     if (col >= 0) {
       const double keep = t.val[col];
-      pivot(t, r, col);
+      pivot(t, r, col, t.ncols);
       t.val[col] = keep;  // degenerate pivot: values unchanged
       t.val[b] = 0.0;
     }
@@ -343,7 +372,7 @@ Solution SimplexSolver::solve(const Problem& problem) const {
   for (int j = 0; j < n; ++j)
     t.cost[static_cast<std::size_t>(j)] = obj_sign * problem.variable(j).objective;
 
-  PhaseResult p2 = run_phase(t, options_, iters, /*allow_artificial=*/false);
+  PhaseResult p2 = run_phase(t, iters, /*allow_artificial=*/false);
   sol.iterations = iters;
   if (p2 == PhaseResult::kIterationLimit) {
     sol.status = SolveStatus::kIterationLimit;

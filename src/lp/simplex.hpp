@@ -4,7 +4,10 @@
 // the MILP encoding of ReLU networks (hundreds to a few thousand
 // columns). Bounded-variable pivoting with bound flips, Dantzig pricing
 // with a Bland's-rule anti-cycling fallback, and Phase-1 artificial
-// variables for a feasible start.
+// variables for a feasible start. Pricing and the pivot's row
+// elimination run as contiguous row loops with every element's operation
+// sequence unchanged, so every host and build computes the same pivots
+// and bits (DESIGN.md, "The simplex").
 #pragma once
 
 #include <vector>
@@ -29,26 +32,11 @@ struct Solution {
   long iterations = 0;
 };
 
-struct SimplexOptions {
-  long max_iterations = 200000;
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
-  double pivot_tol = 1e-9;
-  /// Switch to Bland's rule after this many consecutive degenerate pivots.
-  long degenerate_switch = 200;
-  /// Recompute basic values from scratch every N pivots (numerical hygiene).
-  long refresh_interval = 128;
-};
-
-/// Solves an LP. Stateless; safe to reuse across problems.
+/// Solves an LP. Holds no state, so one instance may serve concurrent
+/// solve() calls; every buffer lives inside the call.
 class SimplexSolver {
  public:
-  explicit SimplexSolver(SimplexOptions options = {});
-
   Solution solve(const Problem& problem) const;
-
- private:
-  SimplexOptions options_;
 };
 
 }  // namespace safenn::lp

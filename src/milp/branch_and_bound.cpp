@@ -52,7 +52,7 @@ MilpResult BranchAndBound::solve(const Model& model) const {
   // better(a, b): a is a strictly better objective than b in problem sense.
   auto better = [sign](double a, double b) { return sign * (a - b) > 0.0; };
 
-  lp::SimplexSolver lp_solver(options_.lp_options);
+  const lp::SimplexSolver lp_solver;
   Stopwatch clock;
   // Deadline + portfolio-cancel, polled before every node.
   CancelToken stop(options_.time_limit_seconds, options_.cancel);

@@ -70,7 +70,6 @@ struct BnbOptions {
   double relative_gap_tol = 1e-9;
   /// Run the fix-and-round primal heuristic every N nodes (0 disables).
   long heuristic_interval = 50;
-  lp::SimplexOptions lp_options;
   /// Called whenever a better incumbent is found.
   std::function<void(const MilpResult&)> on_incumbent;
   /// Optional known-feasible full assignment used as the starting

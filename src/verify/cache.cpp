@@ -38,6 +38,24 @@ double parse_double(const std::string& s, bool* ok) {
   return v;
 }
 
+/// The entry payload store() writes: one "name value" line per field.
+std::string render_payload(const CacheKey& key, const CachedVerdict& value) {
+  std::ostringstream payload;
+  payload << "network " << hex64(key.network) << '\n'
+          << "property " << hex64(key.property) << '\n'
+          << "verdict " << to_string(value.verdict) << '\n'
+          << "upper_bound " << format_double(value.upper_bound) << '\n'
+          << "has_value " << (value.has_value ? 1 : 0) << '\n'
+          << "max_value " << format_double(value.max_value) << '\n'
+          << "engine " << (value.engine.empty() ? "-" : value.engine) << '\n'
+          << "seconds " << format_double(value.seconds) << '\n';
+  return payload.str();
+}
+
+std::string checksum_trailer(const std::string& payload) {
+  return "checksum " + hex64(fnv1a64(payload)) + "\n";
+}
+
 }  // namespace
 
 std::string canonical_property_text(const SafetyProperty& property) {
@@ -189,6 +207,16 @@ CachedVerdict VerificationCache::load(const CacheKey& key) const {
   out.engine = field("engine");
   if (out.engine == "-") out.engine.clear();
   out.seconds = double_field("seconds");
+  // Accept only what store() writes: re-rendering the fields must give
+  // back every payload byte (each number's own token, no stray
+  // whitespace or line), and the trailer must be the one store() puts
+  // after it. So a loaded entry re-stores byte for byte.
+  if (render_payload(key, out) != payload ||
+      text.compare(payload_end, std::string::npos,
+                   checksum_trailer(payload)) != 0) {
+    fail(CacheError::Kind::kBadEntry,
+         "entry '" + path + "' is not in the form store() writes");
+  }
   return out;
 }
 
@@ -214,17 +242,7 @@ std::optional<CachedVerdict> VerificationCache::lookup(const CacheKey& key) {
 }
 
 void VerificationCache::store(const CacheKey& key, const CachedVerdict& value) {
-  std::ostringstream payload;
-  payload << "network " << hex64(key.network) << '\n'
-          << "property " << hex64(key.property) << '\n'
-          << "verdict " << to_string(value.verdict) << '\n'
-          << "upper_bound " << format_double(value.upper_bound) << '\n'
-          << "has_value " << (value.has_value ? 1 : 0) << '\n'
-          << "max_value " << format_double(value.max_value) << '\n'
-          << "engine " << (value.engine.empty() ? "-" : value.engine) << '\n'
-          << "seconds " << format_double(value.seconds) << '\n';
-  const std::string body = payload.str();
-
+  const std::string body = render_payload(key, value);
   const std::string path = entry_path(key);
   const std::string tmp = path + ".tmp";
   {
@@ -232,8 +250,7 @@ void VerificationCache::store(const CacheKey& key, const CachedVerdict& value) {
     if (!os.is_open()) {
       fail(CacheError::Kind::kIo, "cannot open '" + tmp + "'");
     }
-    os << kMagic << ' ' << kVersion << '\n'
-       << body << "checksum " << hex64(fnv1a64(body)) << '\n';
+    os << kMagic << ' ' << kVersion << '\n' << body << checksum_trailer(body);
     if (!os.good()) fail(CacheError::Kind::kIo, "write failure on '" + tmp + "'");
   }
   std::error_code ec;

@@ -115,7 +115,8 @@ class VerificationCache {
   std::optional<CachedVerdict> lookup(const CacheKey& key);
 
   /// Strict read: throws typed CacheError (kNotFound / kBadEntry /
-  /// kChecksumMismatch / kIo) instead of quarantining.
+  /// kChecksumMismatch / kIo) instead of quarantining. Accepts only the
+  /// bytes store() writes, so whatever loads re-stores byte for byte.
   CachedVerdict load(const CacheKey& key) const;
 
   /// Atomic write (tmp + rename): a crash mid-store can leave a stray

@@ -7,7 +7,9 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -285,6 +287,136 @@ TEST_F(CacheTest, ForeignFileRejectedAsBadEntry) {
     FAIL() << "expected CacheError";
   } catch (const CacheError& e) {
     EXPECT_EQ(e.kind(), CacheError::Kind::kBadEntry);
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << bytes;
+}
+
+// Deterministic mutation sweep over a stored entry: byte flips at a fixed
+// stride and a cut at every line start, each tried under the original
+// checksum and under one recomputed over the mutated payload (so the
+// field checks run, not just the checksum). Every input must end in a
+// typed CacheError, which lookup() quarantines as a miss, or load a
+// verdict that re-stores to exactly the input bytes.
+TEST_F(CacheTest, MutationSweepEndsTypedOrRoundTrips) {
+  VerificationCache cache(dir_);
+  const CacheKey key = make_cache_key(craft_net(), craft_property(0.55));
+  CachedVerdict v;
+  v.verdict = Verdict::kViolated;
+  v.upper_bound = 0.75;
+  v.has_value = true;
+  v.max_value = 0.5;
+  v.engine = "milp";
+  v.seconds = 0.125;
+  cache.store(key, v);
+  const std::string path = cache.entry_path(key);
+  const std::string text = read_file(path);
+  const std::string header = "safenn-vcache v1\n";
+  const std::size_t trailer = text.rfind("checksum ");
+  ASSERT_EQ(text.compare(0, header.size(), header), 0);
+  const std::string payload =
+      text.substr(header.size(), trailer - header.size());
+  const auto resealed = [&](const std::string& p) {
+    return header + p + "checksum " + hex64(fnv1a64(p)) + "\n";
+  };
+  ASSERT_EQ(resealed(payload), text);
+
+  int round_trips = 0;
+  const auto probe = [&](const std::string& input, const std::string& what) {
+    write_file(path, input);
+    try {
+      cache.store(key, cache.load(key));
+      EXPECT_EQ(read_file(path), input) << what;
+      ++round_trips;
+    } catch (const CacheError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": untyped " << e.what();
+    }
+  };
+  for (std::size_t pos = 0; pos < text.size(); pos += 3) {
+    for (const unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string mutated = text;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
+      probe(mutated, "flip " + std::to_string(mask) + " at " +
+                         std::to_string(pos));
+    }
+  }
+  for (std::size_t pos = 0; pos <= text.size(); ++pos) {
+    if (pos == 0 || text[pos - 1] == '\n') {
+      probe(text.substr(0, pos), "cut at " + std::to_string(pos));
+    }
+  }
+  EXPECT_EQ(round_trips, 1);  // under the original checksum only the uncut text
+
+  round_trips = 0;
+  for (std::size_t pos = 0; pos < payload.size(); pos += 3) {
+    for (const unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string mutated = payload;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
+      probe(resealed(mutated), "resealed flip " + std::to_string(mask) +
+                                   " at " + std::to_string(pos));
+    }
+  }
+  for (std::size_t pos = 0; pos <= payload.size(); ++pos) {
+    if (pos == 0 || payload[pos - 1] == '\n') {
+      probe(resealed(payload.substr(0, pos)),
+            "resealed cut at " + std::to_string(pos));
+    }
+  }
+  // Flips that keep a valid field (a hex digit, an engine letter) load.
+  EXPECT_GT(round_trips, 1);
+
+  // Shapes strtod and a stream reader would accept, none of which
+  // store() writes: each is a typed bad entry, quarantined by lookup().
+  const std::pair<std::string, std::string> edits[] = {
+      {"seconds 0x1p-3\n", "seconds 0.125\n"},
+      {"upper_bound 0x1.8p-1\n", "upper_bound 0X1.8P-1\n"},
+      {"max_value 0x1p-1\n", "max_value +0x1p-1\n"},
+      {"upper_bound 0x1.8p-1\n", "upper_bound INFINITY\n"},
+      {"seconds 0x1p-3\n", "seconds 0x1p-3\nextra 1\n"},
+      {"engine milp\n", "engine  milp\n"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string edited = payload;
+    const std::size_t at = edited.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    edited.replace(at, from.size(), to);
+    write_file(path, resealed(edited));
+    try {
+      cache.load(key);
+      ADD_FAILURE() << "loaded " << to;
+    } catch (const CacheError& e) {
+      EXPECT_EQ(e.kind(), CacheError::Kind::kBadEntry) << to;
+    }
+  }
+  const long rejected = cache.stats().rejected;
+  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.stats().rejected, rejected + 1);
+  EXPECT_TRUE(fs::exists(path + ".quarantined"));
+
+  // The trailer is exactly "checksum <16 lowercase hex>\n".
+  const std::string upper_hex = [&] {
+    std::string t = text;
+    for (std::size_t i = trailer + 9; i < t.size(); ++i) {
+      if (t[i] >= 'a' && t[i] <= 'f') t[i] = static_cast<char>(t[i] - 32);
+    }
+    return t;
+  }();
+  for (const std::string& bad : {text + "\n", text.substr(0, text.size() - 1) +
+                                                  "\r\n", upper_hex}) {
+    if (bad == text) continue;
+    write_file(path, bad);
+    EXPECT_THROW(cache.load(key), CacheError);
   }
 }
 

@@ -1189,6 +1189,7 @@ TEST(InputSplitParallel, ParallelProveVerdictsMatchSequential) {
 // ---------------------------------------------------------------------------
 
 #include "common/hash.hpp"
+#include "lp/simplex.hpp"
 #include "nn/loss.hpp"
 #include "nn/trainer.hpp"
 
@@ -1390,6 +1391,145 @@ TEST(Bits, VerificationCoreIsPinned) {
     }
     EXPECT_EQ(h.hex(), hex) << "use_input_split " << use_split;
   }
+}
+
+/// A seeded LP over n variables and m rows. Variables cycle through
+/// boxed, lower-bounded, free, fixed and negative-bounded; rows through
+/// <=, >= and =, with right-hand sides taken at a point inside the
+/// bounds. Free variables cost nothing and lower-bounded ones are pushed
+/// toward their bound, so every LP is feasible and bounded.
+lp::Problem seeded_lp(std::uint64_t seed, int n, int m) {
+  Rng rng(seed);
+  lp::Problem p;
+  p.set_maximize(seed % 2 == 0);
+  const double toward_lower = p.maximize() ? -1.0 : 1.0;
+  std::vector<double> x0(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    double lo = -lp::kInfinity, hi = lp::kInfinity;  // free
+    double cost = rng.uniform(-1.0, 1.0);
+    if (j % 5 == 0) {  // boxed
+      lo = rng.uniform(-2.0, 0.0);
+      hi = lo + rng.uniform(0.5, 4.0);
+    } else if (j % 5 == 1) {  // lower-bounded
+      lo = rng.uniform(-1.0, 1.0);
+      cost = toward_lower * rng.uniform(0.1, 1.0);
+    } else if (j % 5 == 2) {
+      cost = 0.0;
+    } else if (j % 5 == 3) {  // fixed
+      lo = hi = rng.uniform(-1.0, 1.0);
+    } else {  // negative-bounded
+      lo = rng.uniform(-6.0, -3.0);
+      hi = rng.uniform(-2.0, -0.5);
+    }
+    x0[static_cast<std::size_t>(j)] =
+        std::isfinite(hi) ? rng.uniform(lo, hi)
+                          : (std::isfinite(lo) ? lo : 0.0) + rng.uniform();
+    p.add_variable(lo, hi, cost);
+  }
+  const lp::Relation relations[] = {lp::Relation::kLe, lp::Relation::kGe,
+                                    lp::Relation::kEq};
+  for (int i = 0; i < m; ++i) {
+    lp::LinearTerms terms;
+    double ax = 0.0;
+    for (int j = 0; j < n; ++j) {
+      if (rng.uniform() < 0.3) continue;
+      const double c = rng.uniform(-1.0, 1.0);
+      terms.emplace_back(j, c);
+      ax += c * x0[static_cast<std::size_t>(j)];
+    }
+    const lp::Relation relation = relations[i % 3];
+    const double margin =
+        relation == lp::Relation::kEq ? 0.0 : rng.uniform(0.0, 1.0);
+    p.add_constraint(std::move(terms), relation,
+                     relation == lp::Relation::kGe ? ax - margin : ax + margin);
+  }
+  return p;
+}
+
+void add_solution(BitHash& h, const lp::Solution& s) {
+  h.add(static_cast<double>(s.status));
+  h.add(s.objective);
+  h.add(s.values.data(), s.values.size());
+  h.add(static_cast<double>(s.iterations));
+}
+
+// The simplex alone: each solve's status, objective, values and
+// iteration count. The seeded LPs' tableau widths n + m (phase 2) and
+// n + 2m (phase 1) take every value mod 4, below 4 too, so every vector
+// tail runs. Then an equality system with a redundant row, an
+// infeasible and an unbounded LP, and perfbench's query shape: the
+// triangle LP of an 84-input I4x10 network over a small envelope.
+TEST(Bits, SimplexIsPinned) {
+  const lp::SimplexSolver solver;
+  BitHash seeded;
+  std::uint64_t seed = 31;
+  std::vector<std::pair<int, int>> shapes;
+  for (int n = 1; n <= 5; ++n) {
+    for (int m = 0; m <= 4; ++m) shapes.emplace_back(n, m);
+  }
+  shapes.insert(shapes.end(), {{9, 6}, {14, 11}, {23, 17}, {40, 31}});
+  for (const auto& [n, m] : shapes) {
+    add_solution(seeded, solver.solve(seeded_lp(seed++, n, m)));
+  }
+  EXPECT_EQ(seeded.hex(), "e592c06fa5e13403");
+
+  BitHash special;
+  {  // Row 2 is row 0 + row 1; x4 is free.
+    lp::Problem p;
+    p.set_maximize(true);
+    for (const double c : {1.0, 2.0, 0.5, -1.0}) p.add_variable(0.0, 10.0, c);
+    p.add_variable(-lp::kInfinity, lp::kInfinity);
+    p.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}}, lp::Relation::kEq, 6.0);
+    p.add_constraint({{1, 1.0}, {3, -1.0}}, lp::Relation::kEq, 1.0);
+    p.add_constraint({{0, 1.0}, {1, 2.0}, {2, 1.0}, {3, -1.0}},
+                     lp::Relation::kEq, 7.0);
+    p.add_constraint({{0, 1.0}, {4, 1.0}}, lp::Relation::kLe, 5.0);
+    p.add_constraint({{2, 1.0}, {3, 1.0}}, lp::Relation::kGe, 1.0);
+    add_solution(special, solver.solve(p));
+  }
+  {  // x0 + x1 >= 5 with x0 <= 1, x1 <= 2.
+    lp::Problem p;
+    p.add_variable(0.0, 1.0, 1.0);
+    p.add_variable(0.0, 2.0, 1.0);
+    p.add_constraint({{0, 1.0}, {1, 1.0}}, lp::Relation::kGe, 5.0);
+    add_solution(special, solver.solve(p));
+  }
+  {  // max x0 + x1 with x0 - x1 <= 1.
+    lp::Problem p;
+    p.set_maximize(true);
+    p.add_variable(0.0, lp::kInfinity, 1.0);
+    p.add_variable(0.0, lp::kInfinity, 1.0);
+    p.add_constraint({{0, 1.0}, {1, -1.0}}, lp::Relation::kLe, 1.0);
+    add_solution(special, solver.solve(p));
+  }
+  EXPECT_EQ(special.hex(), "ec7b36a211366868");
+
+  const Network net = uniform_relu_net(29, {84, 10, 10, 10, 10, 1});
+  Rng rng(30);
+  Box box(84);
+  for (Interval& iv : box) {
+    const double c = rng.uniform(-1.0, 1.0);
+    iv = Interval{c - 0.05, c + 0.05};
+  }
+  const std::vector<LayerBounds> bounds = symbolic_bounds(net, box);
+  lp::Problem relax = relaxation_lp(box, {});
+  std::vector<int> prev(box.size());
+  for (std::size_t i = 0; i < prev.size(); ++i) prev[i] = static_cast<int>(i);
+  for (std::size_t li = 0; li < net.num_layers(); ++li) {
+    std::vector<int> cur(net.layer(li).out_size());
+    for (std::size_t r = 0; r < cur.size(); ++r) {
+      cur[r] = append_relaxed_neuron(relax, net.layer(li), r, prev,
+                                     bounds[li].pre[r]);
+    }
+    prev = std::move(cur);
+  }
+  relax.set_objective(prev[0], 1.0);
+  BitHash triangle;
+  for (const bool maximize : {true, false}) {
+    relax.set_maximize(maximize);
+    add_solution(triangle, solver.solve(relax));
+  }
+  EXPECT_EQ(triangle.hex(), "816b72fcec19d076");
 }
 
 }  // namespace
