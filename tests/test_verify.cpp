@@ -1534,3 +1534,259 @@ TEST(Bits, SimplexIsPinned) {
 
 }  // namespace
 }  // namespace safenn::verify
+
+// ---------------------------------------------------------------------------
+// Ground truth (appended suite). Seeded ReLU networks small enough to
+// enumerate: 2-3 inputs and at most 12 hidden ReLUs over a box, a quarter
+// of them with one side constraint. The exact maximum comes from one cold
+// LP per activation pattern (a depth-first walk over the hidden neurons
+// that drops a pattern prefix once its LP is infeasible), and every
+// engine is checked against it: the MILP's and input splitting's maxima,
+// the LP-tightened bounds, and the deterministic portfolio just above and
+// just below it.
+// ---------------------------------------------------------------------------
+
+namespace safenn::verify {
+namespace {
+
+constexpr std::uint64_t kGroundTruthSeeds = 200;
+
+struct GroundTruth {
+  Network net;
+  InputRegion region;
+  OutputExpr expr;
+  /// The largest network value at a pattern LP's optimum.
+  double max_value = -std::numeric_limits<double>::infinity();
+  /// Every feasible pattern's LP optimum.
+  std::vector<Vector> optima;
+  long patterns = 0;
+};
+
+/// The LP of an activation-pattern prefix: the region, plus z >= 0 for
+/// each active and z <= 0 for each inactive neuron among the first
+/// phase.size() hidden neurons (layer by layer), each z written as an
+/// affine form of the inputs under the earlier phases. A full pattern
+/// makes the network affine on its cell, and the LP maximizes the output
+/// expression there.
+lp::Problem pattern_lp(const GroundTruth& g, const std::vector<int>& phase) {
+  const std::size_t n = g.net.input_size();
+  lp::Problem p;
+  for (const Interval& iv : g.region.box) p.add_variable(iv.lo, iv.hi);
+  for (const InputConstraint& c : g.region.constraints) {
+    p.add_constraint(c.terms, c.relation, c.rhs);
+  }
+  // The previous layer's outputs as affine forms: coef[c][i], constant[c].
+  std::vector<std::vector<double>> coef(n, std::vector<double>(n, 0.0));
+  std::vector<double> constant(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) coef[i][i] = 1.0;
+  std::size_t k = 0;
+  for (std::size_t li = 0; li < g.net.num_layers(); ++li) {
+    const nn::DenseLayer& layer = g.net.layer(li);
+    const bool relu = layer.activation() == Activation::kRelu;
+    std::vector<std::vector<double>> next(layer.out_size(),
+                                          std::vector<double>(n, 0.0));
+    std::vector<double> next_constant(layer.out_size(), 0.0);
+    for (std::size_t r = 0; r < layer.out_size(); ++r) {
+      std::vector<double> z(n, 0.0);
+      double z0 = layer.biases()[r];
+      for (std::size_t c = 0; c < layer.in_size(); ++c) {
+        const double w = layer.weights()(r, c);
+        for (std::size_t i = 0; i < n; ++i) z[i] += w * coef[c][i];
+        z0 += w * constant[c];
+      }
+      if (relu) {
+        if (k == phase.size()) return p;  // the prefix ends here
+        lp::LinearTerms terms;
+        for (std::size_t i = 0; i < n; ++i) {
+          terms.emplace_back(static_cast<int>(i), z[i]);
+        }
+        p.add_constraint(std::move(terms),
+                         phase[k] ? lp::Relation::kGe : lp::Relation::kLe,
+                         -z0);
+        if (!phase[k++]) continue;  // inactive: the output stays 0
+      }
+      next[r] = z;
+      next_constant[r] = z0;
+    }
+    coef = std::move(next);
+    constant = std::move(next_constant);
+  }
+  for (const auto& [out, a] : g.expr.terms) {
+    for (std::size_t i = 0; i < n; ++i) {
+      p.set_objective(static_cast<int>(i),
+                      p.variable(static_cast<int>(i)).objective +
+                          a * coef[static_cast<std::size_t>(out)][i]);
+    }
+  }
+  p.set_maximize(true);
+  return p;
+}
+
+void enumerate_patterns(GroundTruth& g, std::vector<int>& phase,
+                        std::size_t hidden) {
+  const lp::Solution s = lp::SimplexSolver().solve(pattern_lp(g, phase));
+  if (s.status != lp::SolveStatus::kOptimal) return;  // an empty cell
+  if (phase.size() < hidden) {
+    for (const int active : {1, 0}) {
+      phase.push_back(active);
+      enumerate_patterns(g, phase, hidden);
+      phase.pop_back();
+    }
+    return;
+  }
+  ++g.patterns;
+  Vector x(s.values.size());
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = s.values[i];
+  g.max_value = std::max(g.max_value, g.expr.evaluate(g.net.forward(x)));
+  g.optima.push_back(std::move(x));
+}
+
+/// Seed `seed`'s query and its exact maximum.
+GroundTruth ground_truth(std::uint64_t seed) {
+  Rng rng(1000003 * seed + 7);
+  const std::size_t inputs = 2 + rng.uniform_index(2);
+  const std::size_t outputs = 1 + rng.uniform_index(2);
+  std::vector<std::size_t> widths{inputs};
+  if (rng.bernoulli(0.5)) {
+    widths.push_back(4 + rng.uniform_index(9));  // 4..12
+  } else {
+    widths.push_back(2 + rng.uniform_index(5));  // 2..6
+    widths.push_back(2 + rng.uniform_index(5));  // 2..6
+  }
+  widths.push_back(outputs);
+  GroundTruth g;
+  g.net = uniform_relu_net(seed, widths);
+  g.region.box = Box(inputs);
+  for (Interval& iv : g.region.box) {
+    const double c = rng.uniform(-1.0, 1.0);
+    const double w = rng.uniform(0.2, 1.0);
+    iv = Interval{c - w, c + w};
+  }
+  if (seed % 4 == 3) {  // a cut through the box's centre, kept non-empty
+    const int a = static_cast<int>(rng.uniform_index(inputs));
+    const int b = static_cast<int>((static_cast<std::size_t>(a) + 1) % inputs);
+    const double ca = rng.uniform(-1.0, 1.0), cb = rng.uniform(-1.0, 1.0);
+    const Interval& ia = g.region.box[static_cast<std::size_t>(a)];
+    const Interval& ib = g.region.box[static_cast<std::size_t>(b)];
+    const double centre =
+        ca * 0.5 * (ia.lo + ia.hi) + cb * 0.5 * (ib.lo + ib.hi);
+    const bool le = rng.bernoulli(0.5);
+    const double margin = rng.uniform(0.0, 0.3);
+    g.region.constraints.push_back(InputConstraint{
+        {{a, ca}, {b, cb}},
+        le ? lp::Relation::kLe : lp::Relation::kGe,
+        le ? centre + margin : centre - margin});
+  }
+  g.expr.terms = {{0, 1.0}};
+  if (outputs == 2) g.expr.terms.emplace_back(1, -0.5);
+
+  std::size_t hidden = 0;
+  for (std::size_t l = 1; l + 1 < widths.size(); ++l) hidden += widths[l];
+  std::vector<int> phase;
+  enumerate_patterns(g, phase, hidden);
+  return g;
+}
+
+TEST(GroundTruth, MilpAndInputSplitMatchEnumeration) {
+  InputSplitOptions split;
+  split.gap_tol = 1e-7;
+  split.max_boxes = 100000;
+  for (std::uint64_t seed = 0; seed < kGroundTruthSeeds; ++seed) {
+    const GroundTruth g = ground_truth(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ASSERT_GT(g.patterns, 0);
+
+    const MaximizeResult m = MilpVerifier().maximize(g.net, g.region, g.expr);
+    EXPECT_EQ(m.status, milp::MilpStatus::kOptimal);
+    ASSERT_TRUE(m.has_value);
+    EXPECT_NEAR(m.max_value, g.max_value, 1e-6);
+    EXPECT_GE(m.upper_bound, g.max_value - 1e-9);
+
+    const InputSplitResult s =
+        InputSplitVerifier(split).maximize(g.net, g.region, g.expr);
+    EXPECT_TRUE(s.exact);
+    ASSERT_TRUE(s.has_value);
+    EXPECT_NEAR(s.max_value, g.max_value, 1e-6);
+    EXPECT_GE(s.upper_bound, g.max_value - 1e-9);
+  }
+}
+
+TEST(GroundTruth, LpTightenedBoundsContainEveryPattern) {
+  for (std::uint64_t seed = 0; seed < kGroundTruthSeeds; ++seed) {
+    const GroundTruth g = ground_truth(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<LayerBounds> bounds =
+        lp_tightened_bounds(g.net, g.region);
+    std::vector<Vector> points = g.optima;
+    Rng rng(seed + 5000);
+    for (int t = 0; t < 1000; ++t) {
+      Vector x(g.region.dims());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = rng.uniform(g.region.box[i].lo, g.region.box[i].hi);
+      }
+      if (g.region.contains(x)) points.push_back(std::move(x));
+    }
+    long outside = 0;
+    std::string first;
+    for (const Vector& x : points) {
+      const nn::ForwardTrace trace = g.net.forward_trace(x);
+      for (std::size_t li = 0; li < bounds.size(); ++li) {
+        for (std::size_t r = 0; r < bounds[li].pre.size(); ++r) {
+          const double z = trace.pre_activations[li][r];
+          const double y = trace.post_activations[li][r];
+          const Interval& pre = bounds[li].pre[r];
+          const Interval& post = bounds[li].post[r];
+          if (z < pre.lo - 1e-6 || z > pre.hi + 1e-6 ||
+              y < post.lo - 1e-6 || y > post.hi + 1e-6) {
+            if (outside++ == 0) {
+              first = "layer " + std::to_string(li) + " neuron " +
+                      std::to_string(r) + " z " + std::to_string(z);
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(outside, 0) << first;
+  }
+}
+
+TEST(GroundTruth, PortfolioDecidesAroundTruthAtEveryWorkerCount) {
+  for (std::uint64_t seed = 0; seed < kGroundTruthSeeds; ++seed) {
+    const GroundTruth g = ground_truth(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SafetyProperty prop;
+    prop.region = g.region;
+    prop.expr = g.expr;
+    for (const auto& [margin, expected] :
+         {std::pair{1e-3, Verdict::kProved},
+          std::pair{-1e-3, Verdict::kViolated}}) {
+      prop.threshold = g.max_value + margin;
+      PortfolioResult first;
+      for (const int workers : {1, 2, 4}) {
+        PortfolioOptions o;
+        o.deterministic = true;
+        o.num_workers = workers;
+        const PortfolioResult r = PortfolioVerifier(o).prove(g.net, prop);
+        EXPECT_EQ(r.verdict, expected) << "workers " << workers;
+        if (workers == 1) {
+          first = r;
+          continue;
+        }
+        EXPECT_EQ(r.verdict, first.verdict) << "workers " << workers;
+        EXPECT_EQ(r.winner, first.winner) << "workers " << workers;
+        EXPECT_EQ(r.upper_bound, first.upper_bound) << "workers " << workers;
+        EXPECT_EQ(r.has_value, first.has_value) << "workers " << workers;
+        EXPECT_EQ(r.max_value, first.max_value) << "workers " << workers;
+        EXPECT_EQ(std::vector<double>(r.witness.data(),
+                                      r.witness.data() + r.witness.size()),
+                  std::vector<double>(first.witness.data(),
+                                      first.witness.data() +
+                                          first.witness.size()))
+            << "workers " << workers;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace safenn::verify
