@@ -514,6 +514,7 @@ int main(int argc, char** argv) {
         bool applicable = false;
         verify::Verdict verdict = verify::Verdict::kUnknown;
         double seconds = 0.0;
+        std::string detail{};  // the engine's nodes/boxes/probes line
       };
       Single singles[3] = {{"input_split"}, {"milp"}, {"sat_quantized"}};
       for (int e = 0; e < 3; ++e) {
@@ -526,6 +527,7 @@ int main(int argc, char** argv) {
         singles[e].applicable = r.engines.size() == 1 || r.engines[1 + e].ran;
         singles[e].verdict = r.verdict;
         singles[e].seconds = r.seconds;
+        if (r.engines.size() > 1) singles[e].detail = r.engines[1 + e].detail;
       }
 
       const verify::PortfolioResult p =
@@ -579,7 +581,8 @@ int main(int argc, char** argv) {
         pjson << ", \"" << s.name << "\": ";
         if (s.applicable) {
           pjson << "{\"verdict\": \"" << to_string(s.verdict)
-                << "\", \"seconds\": " << s.seconds << "}";
+                << "\", \"seconds\": " << s.seconds << ", \"detail\": \""
+                << s.detail << "\"}";
         } else {
           pjson << "null";
         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <queue>
 
 #include "common/cancel.hpp"
@@ -13,8 +14,16 @@
 namespace safenn::milp {
 namespace {
 
+/// Warm node solves between two cold rebuilds of the search's LP. Every
+/// pivot leaves a little rounding in the kept tableau, and a rebuild from
+/// the rows resets it; at one rebuild per 64 warm solves the rebuilds
+/// cost a few percent of the search's simplex iterations.
+constexpr long kWarmSolvesPerRebuild = 64;
+
 /// A search node: bound overrides accumulated along its branch path plus
 /// the parent's LP bound (an optimistic estimate until its own LP runs).
+/// It stores no basis: the search's one lp::Simplex carries the last
+/// node's basis to the next.
 struct Node {
   std::vector<std::pair<int, double>> lower_overrides;
   std::vector<std::pair<int, double>> upper_overrides;
@@ -22,18 +31,6 @@ struct Node {
   int depth = 0;
   long id = 0;
 };
-
-/// Applies node bound overrides to a copy of the base problem.
-lp::Problem build_node_problem(const lp::Problem& base, const Node& node) {
-  lp::Problem p = base;
-  for (const auto& [var, lo] : node.lower_overrides) {
-    p.variable(var).lower = std::max(p.variable(var).lower, lo);
-  }
-  for (const auto& [var, hi] : node.upper_overrides) {
-    p.variable(var).upper = std::min(p.variable(var).upper, hi);
-  }
-  return p;
-}
 
 }  // namespace
 
@@ -54,6 +51,7 @@ MilpResult BranchAndBound::solve(const Model& model) const {
 
   const lp::SimplexSolver lp_solver;
   Stopwatch clock;
+  const int num_vars = base.num_variables();
   // Deadline + portfolio-cancel, polled before every node.
   CancelToken stop(options_.time_limit_seconds, options_.cancel);
 
@@ -137,6 +135,49 @@ MilpResult BranchAndBound::solve(const Model& model) const {
     }
   }
 
+  // One LP for the whole search. The root solves it cold; each later node
+  // re-solves it from the previous node's basis under its own bounds
+  // (base + overrides) by dual simplex, and rebuilds it cold when the warm
+  // start declines, after kWarmSolvesPerRebuild warm solves, or when a
+  // warm optimum misses the rows by more than initial_solution's 1e-6.
+  std::optional<lp::Simplex> node_lp;
+  std::vector<double> objective(static_cast<std::size_t>(num_vars));
+  std::vector<double> lower(objective.size()), upper(objective.size());
+  for (int j = 0; j < num_vars; ++j) {
+    objective[static_cast<std::size_t>(j)] = base.variable(j).objective;
+  }
+  long warm_solves = 0;
+  auto solve_node = [&](const Node& node) {
+    if (!node_lp) {  // the root, at the base bounds
+      node_lp.emplace(base);
+      return node_lp->optimize(objective, maximize);
+    }
+    for (int j = 0; j < num_vars; ++j) {
+      lower[static_cast<std::size_t>(j)] = base.variable(j).lower;
+      upper[static_cast<std::size_t>(j)] = base.variable(j).upper;
+    }
+    for (const auto& [var, lo] : node.lower_overrides) {
+      double& l = lower[static_cast<std::size_t>(var)];
+      l = std::max(l, lo);
+    }
+    for (const auto& [var, hi] : node.upper_overrides) {
+      double& u = upper[static_cast<std::size_t>(var)];
+      u = std::min(u, hi);
+    }
+    if (warm_solves < kWarmSolvesPerRebuild) {
+      std::optional<lp::Solution> warm = node_lp->resolve(lower, upper);
+      if (warm && (warm->status != lp::SolveStatus::kOptimal ||
+                   base.max_violation(warm->values) <= 1e-6)) {
+        ++warm_solves;
+        return *std::move(warm);
+      }
+      if (warm) result.lp_iterations += warm->iterations;
+    }
+    warm_solves = 0;
+    node_lp->rebuild(lower, upper);
+    return node_lp->optimize(objective, maximize);
+  };
+
   double global_bound = root_estimate;
   bool aborted_time = false;
   bool aborted_nodes = false;
@@ -203,8 +244,7 @@ MilpResult BranchAndBound::solve(const Model& model) const {
     }
 
     ++result.nodes_explored;
-    const lp::Problem node_problem = build_node_problem(base, node);
-    const lp::Solution relax = lp_solver.solve(node_problem);
+    const lp::Solution relax = solve_node(node);
     result.lp_iterations += relax.iterations;
     if (log_level() <= LogLevel::kDebug) {
       std::string fixes;

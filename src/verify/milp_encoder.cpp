@@ -1,6 +1,7 @@
 #include "verify/milp_encoder.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 #include "lp/simplex.hpp"
@@ -51,7 +52,8 @@ int append_relaxed_neuron(lp::Problem& lp, const nn::DenseLayer& layer,
 
 std::vector<LayerBounds> lp_tightened_bounds(
     const nn::Network& net, const InputRegion& region,
-    const std::vector<LayerBounds>* symbolic_seed, const CancelToken& stop) {
+    const std::vector<LayerBounds>* symbolic_seed, const CancelToken& stop,
+    long* lp_iterations) {
   check_query(net, region);
   // Symbolic bounds seed the relaxation and cap the LP answers (the LP
   // can only tighten, never loosen, a sound bound). The tighter seed
@@ -64,16 +66,23 @@ std::vector<LayerBounds> lp_tightened_bounds(
   for (std::size_t i = 0; i < prev_vars.size(); ++i) {
     prev_vars[i] = static_cast<int>(i);
   }
-  lp::SimplexSolver solver;
   std::vector<LayerBounds> out;
   out.reserve(net.num_layers());
+  std::vector<double> objective;
+  long iterations = 0;
 
   for (std::size_t li = 0; li < net.num_layers(); ++li) {
     const nn::DenseLayer& layer = net.layer(li);
     LayerBounds lb;
     lb.pre.resize(layer.out_size());
     lb.post.resize(layer.out_size());
-    std::vector<int> layer_vars(layer.out_size(), -1);
+    // Every LP of this layer runs over the relaxation of the layers before
+    // it, so one simplex serves them all: phase 1 once, then each min and
+    // max re-optimizes from the previous optimum. Built at the layer's
+    // first LP pair, so a fired token or an all-stable layer builds none.
+    std::optional<lp::Simplex> simplex;
+    objective.assign(static_cast<std::size_t>(relaxation.num_variables()),
+                     0.0);
 
     for (std::size_t r = 0; r < layer.out_size(); ++r) {
       // Tighten pre-activation bounds by LP, seeded by the interval.
@@ -85,34 +94,46 @@ std::vector<LayerBounds> lp_tightened_bounds(
       const bool skip_lps = (layer.activation() == nn::Activation::kRelu &&
                              classify(pre) != NeuronStability::kUnstable) ||
                             stop.check_now();
-      for (int sense = 0; !skip_lps && sense < 2; ++sense) {
-        lp::Problem p = relaxation;
+      if (!skip_lps) {
+        if (!simplex) simplex.emplace(relaxation);
         for (std::size_t c = 0; c < layer.in_size(); ++c) {
           const double w = layer.weights()(r, c);
-          if (w != 0.0) p.set_objective(prev_vars[c], w);
+          if (w != 0.0) objective[static_cast<std::size_t>(prev_vars[c])] = w;
         }
-        p.set_maximize(sense == 1);
-        const lp::Solution s = solver.solve(p);
-        if (s.status != lp::SolveStatus::kOptimal) continue;
         const double b = layer.biases()[r];
-        if (sense == 1) {
-          pre.hi = std::min(pre.hi, s.objective + b + 1e-9);
-        } else {
-          pre.lo = std::max(pre.lo, s.objective + b - 1e-9);
+        for (const bool maximize : {false, true}) {
+          const lp::Solution s = simplex->optimize(objective, maximize);
+          iterations += s.iterations;
+          if (s.status != lp::SolveStatus::kOptimal) continue;
+          if (maximize) {
+            pre.hi = std::min(pre.hi, s.objective + b + 1e-9);
+          } else {
+            pre.lo = std::max(pre.lo, s.objective + b - 1e-9);
+          }
         }
+        for (const int v : prev_vars) objective[static_cast<std::size_t>(v)] = 0.0;
       }
       if (pre.lo > pre.hi) pre.lo = pre.hi;  // numerical guard
       lb.pre[r] = pre;
-      // Extend the relaxation with this neuron for subsequent layers.
+    }
+    simplex.reset();
+
+    // Extend the relaxation with this layer for the next one, in neuron
+    // order. No neuron of a layer constrains another's LPs: each y has a
+    // feasible value for every z within the neuron's bounds, so appending
+    // before or after the layer's LPs gives the same optima.
+    std::vector<int> layer_vars(layer.out_size(), -1);
+    for (std::size_t r = 0; r < layer.out_size(); ++r) {
       const int y =
-          append_relaxed_neuron(relaxation, layer, r, prev_vars, pre);
+          append_relaxed_neuron(relaxation, layer, r, prev_vars, lb.pre[r]);
       lb.post[r] = Interval{relaxation.variable(y).lower,
                             relaxation.variable(y).upper};
       layer_vars[r] = y;
     }
-    prev_vars = layer_vars;
+    prev_vars = std::move(layer_vars);
     out.push_back(std::move(lb));
   }
+  if (lp_iterations) *lp_iterations = iterations;
   return out;
 }
 
@@ -157,6 +178,7 @@ EncodedNetwork encode_network(const nn::Network& net,
 
   // Neuron bounds (big-M constants) per the configured tightening method.
   std::vector<LayerBounds> bounds;
+  long tighten_iterations = 0;
   switch (options.tightening) {
     case BoundTightening::kInterval:
       bounds = propagate_bounds(net, region.box);
@@ -168,7 +190,7 @@ EncodedNetwork encode_network(const nn::Network& net,
       break;
     case BoundTightening::kLpTighten:
       bounds = lp_tightened_bounds(net, region, options.precomputed_symbolic,
-                                   stop);
+                                   stop, &tighten_iterations);
       break;
     case BoundTightening::kLooseBigM: {
       const double m = options.loose_big_m;
@@ -190,6 +212,7 @@ EncodedNetwork encode_network(const nn::Network& net,
   }
 
   EncodedNetwork enc;
+  enc.lp_iterations = tighten_iterations;
   milp::Model& model = enc.model;
 
   // Input variables constrained to the region.

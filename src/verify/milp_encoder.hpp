@@ -81,10 +81,12 @@ int append_relaxed_neuron(lp::Problem& lp, const nn::DenseLayer& layer,
 /// it); null derives the seed here. `stop` is polled before every
 /// neuron's LP pair; once it fires, the remaining neurons keep their
 /// (sound, looser) seed bounds, so the caller's own poll ends the solve.
+/// Each layer's LPs share one lp::Simplex (one phase 1 per layer); a
+/// non-null `lp_iterations` receives their simplex iterations.
 std::vector<LayerBounds> lp_tightened_bounds(
     const nn::Network& net, const InputRegion& region,
     const std::vector<LayerBounds>* symbolic_seed = nullptr,
-    const CancelToken& stop = CancelToken());
+    const CancelToken& stop = CancelToken(), long* lp_iterations = nullptr);
 
 /// The encoded model plus the variable maps needed to read answers back.
 struct EncodedNetwork {
@@ -98,6 +100,8 @@ struct EncodedNetwork {
   std::size_t num_binaries = 0;
   std::size_t num_stable_active = 0;
   std::size_t num_stable_inactive = 0;
+  /// Simplex iterations of the kLpTighten bound tightening (0 otherwise).
+  long lp_iterations = 0;
 
   /// Input assignment extracted from a MILP solution vector.
   linalg::Vector extract_input(const std::vector<double>& values) const;

@@ -112,7 +112,7 @@ MaximizeResult MilpVerifier::maximize(const nn::Network& net,
   out.status = r.status;
   out.seconds = clock.seconds();
   out.nodes = r.nodes_explored;
-  out.lp_iterations = r.lp_iterations;
+  out.lp_iterations = enc.lp_iterations + r.lp_iterations;
   out.binaries = enc.num_binaries;
   out.cancelled = r.cancelled;
   // The maximum over an empty region is -inf.

@@ -101,6 +101,7 @@ struct MaximizeResult {
   linalg::Vector witness;
   double seconds = 0.0;
   long nodes = 0;
+  /// Simplex iterations: the LP bound tightening's, then the search's.
   long lp_iterations = 0;
   std::size_t binaries = 0;
   /// True when bnb.cancel stopped the search (bounds are sound snapshots).

@@ -883,16 +883,18 @@ TEST(PortfolioRacing, SharedDeadlineProducesUnknownNotHang) {
 // -------------------------------------------------------------------------
 
 /// A query no engine closes in half a second on a 4-core host: a random
-/// 8-30-30-1 network whose threshold sits 5% of the way from the sampled
-/// maximum to the root symbolic bound. All three engines run on it.
+/// network (8-30-30-1 unless `widths` says otherwise) whose threshold
+/// sits 5% of the way from the sampled maximum to the root symbolic
+/// bound. All three engines run on it.
 struct OpenQuery {
   Network net;
   SafetyProperty prop;
 };
 
-OpenQuery make_open_query() {
+OpenQuery make_open_query(
+    const std::vector<std::size_t>& widths = {8, 30, 30, 1}) {
   Rng rng(11);
-  OpenQuery q{Network::make_mlp({8, 30, 30, 1}, Activation::kRelu,
+  OpenQuery q{Network::make_mlp(widths, Activation::kRelu,
                                 Activation::kIdentity, rng),
               {}};
   q.prop.name = "open";
@@ -997,7 +999,12 @@ TEST(PortfolioCancel, LosersStopOnceInputSplitDecides) {
   // Threshold between the root box's triangle-LP bound and its symbolic
   // bound: input splitting proves it after its first box, while the MILP
   // is still tightening bounds and the SAT engine building its circuit.
-  const OpenQuery q = make_open_query();
+  // Six narrow layers keep the MILP's encoding (two LPs per unstable
+  // neuron, each layer's from one kept basis) about 10x longer than that
+  // one box (113 vs 11 ms on a 4-vCPU x86-64 host, idle or running four
+  // copies at once); the 8-30-30-1 open query's encoding took only
+  // ~3.6x its first box once LP tightening kept its basis.
+  const OpenQuery q = make_open_query({8, 15, 15, 15, 15, 15, 15, 1});
   InputSplitOptions one_box;
   one_box.max_boxes = 1;
   const InputSplitResult first =

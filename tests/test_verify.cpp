@@ -1344,7 +1344,7 @@ TEST(Bits, VerificationCoreIsPinned) {
     lp.add(layer.pre);
     lp.add(layer.post);
   }
-  EXPECT_EQ(lp.hex(), "3c5498dcbebe8bcb");
+  EXPECT_EQ(lp.hex(), "f0988dbdba4fb5c5");
 
   const MaximizeResult m =
       MilpVerifier().maximize(net, prop.region, prop.expr);
@@ -1354,7 +1354,7 @@ TEST(Bits, VerificationCoreIsPinned) {
   milp.add(m.upper_bound);
   milp.add(static_cast<double>(m.nodes));
   milp.add(static_cast<double>(m.lp_iterations));
-  EXPECT_EQ(milp.hex(), "9d3fd1339187e62f");
+  EXPECT_EQ(milp.hex(), "0331179ec39d88f3");
 
   // A fifth of the way from the maximum to the root symbolic bound: the
   // race runs, and the winner needs a search to decide.
@@ -1365,7 +1365,7 @@ TEST(Bits, VerificationCoreIsPinned) {
           .hi;
   prop.threshold = 0.8 * m.max_value + 0.2 * root_hi;
   const std::pair<bool, const char*> expected[] = {
-      {true, "01b3e20776516272"}, {false, "f1da748c452380d9"}};
+      {true, "01b3e20776516272"}, {false, "deb151ccc13428ce"}};
   for (const auto& [use_split, hex] : expected) {
     PortfolioOptions o;
     o.deterministic = true;
@@ -1530,6 +1530,122 @@ TEST(Bits, SimplexIsPinned) {
     add_solution(triangle, solver.solve(relax));
   }
   EXPECT_EQ(triangle.hex(), "816b72fcec19d076");
+}
+
+// The kept basis (lp::Simplex): re-optimizations and re-solves over the
+// seeded LPs (warm answers, an infeasible one, declines and the rebuilds
+// after them), then branch-and-bound-like warm re-solves over the MILP
+// relaxation of an 84-input I4x10 network: binaries fixed, flipped and
+// freed, a dive whose flip is proved infeasible warm, and the root again.
+// Each answer's status, objective, values and iterations, and every
+// decline, enter the hash, so a change to the dual pass, its decline rules
+// or the re-optimization shows. Recorded from the default Release build.
+TEST(Bits, WarmSimplexIsPinned) {
+  BitHash reopt;
+  std::uint64_t seed = 41;
+  for (const auto& [n, m] :
+       std::vector<std::pair<int, int>>{{3, 2}, {9, 6}, {14, 11}, {23, 17}, {40, 31}}) {
+    const lp::Problem p = seeded_lp(seed, n, m);
+    Rng rng(seed++);
+    lp::Simplex simplex(p);
+    std::vector<double> c(static_cast<std::size_t>(n));
+    for (int k = 0; k < 4; ++k) {
+      for (double& v : c) v = rng.uniform(-1.0, 1.0);
+      add_solution(reopt, simplex.optimize(c, k % 2 == 0));
+    }
+    // Re-solves under the LP's own objective: each boxed column's domain
+    // halved toward a random end, then its lower bound dropped (a column
+    // its cost pushes down is held at its old bound and would rest inside
+    // the new domain: a decline), then the original bounds.
+    std::vector<double> lo, hi;
+    for (int j = 0; j < n; ++j) {
+      c[static_cast<std::size_t>(j)] = p.variable(j).objective;
+      lo.push_back(p.variable(j).lower);
+      hi.push_back(p.variable(j).upper);
+    }
+    add_solution(reopt, simplex.optimize(c, p.maximize()));
+    const std::vector<double> lo0 = lo, hi0 = hi;
+    auto resolve = [&] {
+      std::optional<lp::Solution> s = simplex.resolve(lo, hi);
+      reopt.add(s ? 0.0 : 1.0);
+      if (!s) {
+        simplex.rebuild(lo, hi);
+        s = simplex.optimize(c, p.maximize());
+      }
+      add_solution(reopt, *s);
+    };
+    for (std::size_t j = 0; j < lo.size(); j += 5) {
+      const double mid = 0.5 * (lo[j] + hi[j]);
+      (rng.bernoulli(0.5) ? lo[j] : hi[j]) = mid;
+    }
+    resolve();
+    for (std::size_t j = 0; j < lo.size(); j += 5) lo[j] = -lp::kInfinity;
+    resolve();
+    lo = lo0;
+    hi = hi0;
+    resolve();
+  }
+  EXPECT_EQ(reopt.hex(), "de3a302ee0eff126");
+
+  const Network net = uniform_relu_net(29, {84, 10, 10, 10, 10, 1});
+  Rng rng(31);
+  InputRegion region;
+  region.box = Box(84);
+  for (Interval& iv : region.box) {
+    const double c = rng.uniform(-1.0, 1.0);
+    iv = Interval{c - 0.2, c + 0.2};
+  }
+  EncodedNetwork enc = encode_network(net, region);
+  enc.model.set_objective(enc.output_vars[0], 1.0);
+  enc.model.set_maximize(true);
+  const lp::Problem& p = enc.model.problem();
+  const std::vector<int>& binaries = enc.model.integral_variables();
+  ASSERT_GE(binaries.size(), 4u);
+  std::vector<double> objective, lo, hi;
+  for (int j = 0; j < p.num_variables(); ++j) {
+    objective.push_back(p.variable(j).objective);
+    lo.push_back(p.variable(j).lower);
+    hi.push_back(p.variable(j).upper);
+  }
+  lp::Simplex simplex(p);
+  BitHash warm;
+  add_solution(warm, simplex.optimize(objective, true));
+  auto node = [&] {
+    std::optional<lp::Solution> s = simplex.resolve(lo, hi);
+    warm.add(s ? 0.0 : 1.0);
+    if (!s) {
+      simplex.rebuild(lo, hi);
+      s = simplex.optimize(objective, true);
+    }
+    add_solution(warm, *s);
+  };
+  auto fix = [&](std::size_t k, double v) {
+    const auto j = static_cast<std::size_t>(binaries[k]);
+    lo[j] = hi[j] = v;
+  };
+  auto free = [&](std::size_t k) {
+    const auto j = static_cast<std::size_t>(binaries[k]);
+    lo[j] = 0.0;
+    hi[j] = 1.0;
+  };
+  const std::size_t used = std::min<std::size_t>(binaries.size(), 10);
+  for (std::size_t k = 0; k < used; ++k) {  // each binary up, down, free
+    fix(k, 1.0);
+    node();
+    fix(k, 0.0);
+    node();
+    free(k);
+    node();
+  }
+  for (std::size_t k = 0; k < used; ++k) {  // a dive, flipped, then freed
+    fix(k, k % 3 == 0 ? 1.0 : 0.0);
+    node();
+  }
+  for (std::size_t k = 0; k < used; ++k) fix(k, 1.0 - lo[static_cast<std::size_t>(binaries[k])]);
+  node();
+  for (std::size_t k = 0; k < used; ++k) free(k);
+  node();
+  EXPECT_EQ(warm.hex(), "188e7631356900a5");
 }
 
 }  // namespace
